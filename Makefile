@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build test race bench bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build bench-vet test race bench bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
-ci: fmt-check vet build race chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
+ci: fmt-check vet build bench-vet race chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,11 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module, so `go build ./...` here cannot see a store,
+# ops or core API change that breaks it. This can.
+bench-vet:
+	cd bench && GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -78,17 +83,16 @@ gateway-smoke:
 bench-churn:
 	$(GO) test -bench 'BenchmarkChurn' -benchtime 1x -benchmem -run '^$$' .
 
-# WAL codec and group-commit benchmarks: binary vs legacy-JSON frame
-# encoding, and fsync coalescing at 1/8/64 concurrent appenders
-# (docs/RECOVERY.md).
+# WAL codec and group-commit benchmarks: frame encoding, and fsync
+# coalescing at 1/8/64 concurrent appenders (docs/RECOVERY.md).
 bench-wal:
 	$(GO) test -bench 'BenchmarkWAL' -benchtime 1000x -benchmem -run '^$$' .
 
-# Binary WAL frame decoder fuzzing: torn tails, bit flips, and truncated
-# length prefixes must error — never panic or over-allocate. Override
-# FUZZ_TIME for longer runs. fuzz-store-smoke is the short `make ci` leg;
-# the tight minimize budget keeps interesting-input shrinking from eating
-# the wall clock.
+# WAL frame decoder fuzzing: torn tails, bit flips, truncated length
+# prefixes, and intact-but-undecodable frames must error — never panic or
+# over-allocate. Override FUZZ_TIME for longer runs. fuzz-store-smoke is
+# the short `make ci` leg; the tight minimize budget keeps
+# interesting-input shrinking from eating the wall clock.
 FUZZ_TIME ?= 30s
 fuzz-store:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime $(FUZZ_TIME) \

@@ -34,9 +34,6 @@ func TestDurableRestartSmoke(t *testing.T) {
 		{"interval", Options{Durable: true, Fsync: store.SyncInterval, FsyncInterval: 200 * time.Millisecond}},
 		{"never", Options{Durable: true, Fsync: store.SyncNever}},
 		{"group", Options{Durable: true, Fsync: store.SyncGroup, FsyncGroupWindow: 100 * time.Microsecond}},
-		// Legacy-format dirs must survive the same crash schedule: the
-		// binary decoder's per-frame JSON fallback is what restarts read.
-		{"json-legacy", Options{Durable: true, Fsync: store.SyncAlways, StoreFormat: store.FormatJSON}},
 	}
 	for _, p := range policies {
 		p := p

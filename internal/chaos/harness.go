@@ -69,10 +69,6 @@ type Options struct {
 	// Crash cuts stay on group boundaries regardless of the window: the
 	// MemDir synced watermark only advances at the group's write+fsync.
 	FsyncGroupWindow time.Duration
-	// StoreFormat selects the WAL frame encoding (default binary). The
-	// durable campaign also runs it as FormatJSON to prove crash
-	// recovery of legacy-format dirs keeps working.
-	StoreFormat store.Format
 }
 
 func (o Options) withDefaults() Options {
@@ -290,7 +286,6 @@ func (h *Harness) storeOpts() store.Options {
 		Policy:      h.opts.Fsync,
 		Interval:    h.opts.FsyncInterval,
 		GroupWindow: h.opts.FsyncGroupWindow,
-		Format:      h.opts.StoreFormat,
 	}
 }
 

@@ -40,11 +40,11 @@ func TestBatchIsOneFrame(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("read wal: %v %v", ok, err)
 	}
-	recs, _ := decodeWAL(raw)
+	recs, _, _ := decodeWAL(raw)
 	if len(recs) != 1 {
 		t.Fatalf("wal holds %d frames, want 1 for a 3-entry batch", len(recs))
 	}
-	if recs[0].Op != opSetBatch || len(recs[0].Batch) != 3 {
+	if recs[0].Kind != kindSetBatch || len(recs[0].Batch) != 3 {
 		t.Fatalf("frame = %+v, want one setb with 3 entries", recs[0])
 	}
 }

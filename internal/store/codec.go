@@ -7,85 +7,84 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"time"
+
 	"rbay/internal/wire"
 )
 
-// Binary WAL format. Each frame keeps the PR-4 outer envelope —
-// [u32 LE length][u32 LE crc32-IEEE][body] — but the body is now a
-// wire-codec record instead of JSON text:
+// WAL format. Each frame is [u32 LE length][u32 LE crc32-IEEE][body] with
 //
 //	body := kind(byte) seq(uvarint) payload
 //
-// with one registered kind per record operation. The two formats coexist
-// per-frame: a JSON body always starts with '{' (0x7B) and no binary kind
-// byte is ever 0x7B, so the decoder dispatches on the first body byte and
-// a data dir written by an older build replays transparently. New appends
-// are always binary (unless Options.Format forces JSON); compaction
-// rewrites the snapshot and truncates the WAL, so a mixed dir converges
-// to pure binary without any explicit migration step (docs/RECOVERY.md).
+// and one registered kind per record operation. This file is the only
+// place that knows the on-disk bytes: the kind table, the value tags and
+// the snapshot layout. A data dir holds nothing else; bytes that pass
+// their checksum but do not decode make Open fail rather than be
+// dropped (docs/RECOVERY.md).
 const (
-	kindSet      byte = 1
-	kindSetBatch byte = 2
-	kindDelete   byte = 3
-	kindAttach   byte = 4
-	kindReserve  byte = 5
-	kindCommit   byte = 6
-	kindRelease  byte = 7
-	kindOpUpsert byte = 8
-	kindOpDelete byte = 9
-	kindSnapshot byte = 10
+	kindSet      byte = 1  // attribute value posted/updated
+	kindSetBatch byte = 2  // coalesced attribute batch (one frame, many keys)
+	kindDelete   byte = 3  // attribute withdrawn
+	kindAttach   byte = 4  // AA policy script attached
+	kindReserve  byte = 5  // reservation taken or its lease extended
+	kindCommit   byte = 6  // reservation committed (leased)
+	kindRelease  byte = 7  // reservation released
+	kindOpUpsert byte = 8  // gateway operation record created or transitioned
+	kindOpDelete byte = 9  // terminal operation record retired (retention)
+	kindSnapshot byte = 10 // the snapshot file's single frame
 )
 
-// snapMagic prefixes a binary snapshot file. A legacy JSON snapshot
-// starts with '{'; anything else carrying this magic is one binary
-// kindSnapshot frame. (WAL frames need no magic — they dispatch on the
-// body's first byte — but the snapshot is a whole file, and its first
-// byte is a length octet that could collide with '{'.)
+// maxRecordLen bounds one WAL record's payload; a longer length prefix
+// means the tail is garbage, not a record.
+const maxRecordLen = 1 << 24
+
+// snapMagic prefixes the snapshot file, whose remainder is one
+// kindSnapshot frame.
 var snapMagic = []byte("rbaysnap\x01")
 
 var (
 	recCodec  = wire.NewCodec[record]()
-	snapCodec = wire.NewCodec[snapshot]()
+	snapCodec = wire.NewCodec[State]()
 )
 
 func init() {
-	recCodec.Register(kindSet, opSet,
+	recCodec.Register(kindSet, "set",
 		func(e *wire.Encoder, r record) { e.String(r.Attr); encValue(e, r.Val) },
-		func(d *wire.Decoder) record { return record{Op: opSet, Attr: d.String(), Val: decValue(d)} })
-	recCodec.Register(kindSetBatch, opSetBatch,
+		func(d *wire.Decoder) record { return record{Kind: kindSet, Attr: d.String(), Val: decValue(d)} })
+	recCodec.Register(kindSetBatch, "setb",
 		func(e *wire.Encoder, r record) {
 			e.Uvarint(uint64(len(r.Batch)))
 			for _, kv := range r.Batch {
-				e.String(kv.Attr)
-				encValue(e, kv.Val)
+				e.String(kv.Name)
+				encValue(e, kv.Value)
 			}
 		},
 		func(d *wire.Decoder) record {
-			r := record{Op: opSetBatch}
+			r := record{Kind: kindSetBatch}
 			if n := d.Count(2); n > 0 {
-				r.Batch = make([]batchKV, n)
+				r.Batch = make([]BatchSet, n)
 				for i := range r.Batch {
-					r.Batch[i] = batchKV{Attr: d.String(), Val: decValue(d)}
+					r.Batch[i] = BatchSet{Name: d.String(), Value: decValue(d)}
 				}
 			}
 			return r
 		})
-	recCodec.Register(kindDelete, opDelete,
+	recCodec.Register(kindDelete, "del",
 		func(e *wire.Encoder, r record) { e.String(r.Attr) },
-		func(d *wire.Decoder) record { return record{Op: opDelete, Attr: d.String()} })
-	recCodec.Register(kindAttach, opAttach,
+		func(d *wire.Decoder) record { return record{Kind: kindDelete, Attr: d.String()} })
+	recCodec.Register(kindAttach, "attach",
 		func(e *wire.Encoder, r record) { e.String(r.Attr); e.String(r.Script) },
-		func(d *wire.Decoder) record { return record{Op: opAttach, Attr: d.String(), Script: d.String()} })
-	recCodec.Register(kindReserve, opReserve,
+		func(d *wire.Decoder) record { return record{Kind: kindAttach, Attr: d.String(), Script: d.String()} })
+	recCodec.Register(kindReserve, "reserve",
 		func(e *wire.Encoder, r record) { e.String(r.Query); e.Varint(r.Exp) },
-		func(d *wire.Decoder) record { return record{Op: opReserve, Query: d.String(), Exp: d.Varint()} })
-	recCodec.Register(kindCommit, opCommit,
+		func(d *wire.Decoder) record { return record{Kind: kindReserve, Query: d.String(), Exp: d.Varint()} })
+	recCodec.Register(kindCommit, "commit",
 		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Op: opCommit, Query: d.String()} })
-	recCodec.Register(kindRelease, opRelease,
+		func(d *wire.Decoder) record { return record{Kind: kindCommit, Query: d.String()} })
+	recCodec.Register(kindRelease, "release",
 		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Op: opRelease, Query: d.String()} })
-	recCodec.Register(kindOpUpsert, opOpUpsert,
+		func(d *wire.Decoder) record { return record{Kind: kindRelease, Query: d.String()} })
+	recCodec.Register(kindOpUpsert, "op",
 		func(e *wire.Encoder, r record) {
 			if r.OpRec == nil {
 				e.Fail(errors.New("store: op upsert record without op"))
@@ -95,49 +94,23 @@ func init() {
 		},
 		func(d *wire.Decoder) record {
 			op := decStoredOp(d)
-			return record{Op: opOpUpsert, OpRec: &op}
+			return record{Kind: kindOpUpsert, OpRec: &op}
 		})
-	recCodec.Register(kindOpDelete, opOpDelete,
+	recCodec.Register(kindOpDelete, "opdel",
 		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Op: opOpDelete, Query: d.String()} })
+		func(d *wire.Decoder) record { return record{Kind: kindOpDelete, Query: d.String()} })
 
 	snapCodec.Register(kindSnapshot, "snapshot", encSnapshot, decSnapshot)
 }
 
-// kindForOp maps a record operation to its binary kind byte (0 = unknown).
-func kindForOp(op string) byte {
-	switch op {
-	case opSet:
-		return kindSet
-	case opSetBatch:
-		return kindSetBatch
-	case opDelete:
-		return kindDelete
-	case opAttach:
-		return kindAttach
-	case opReserve:
-		return kindReserve
-	case opCommit:
-		return kindCommit
-	case opRelease:
-		return kindRelease
-	case opOpUpsert:
-		return kindOpUpsert
-	case opOpDelete:
-		return kindOpDelete
-	default:
-		return 0
-	}
-}
-
-// Value tag bytes. These mirror taggedValue's one-letter JSON tags; the
-// JSON blob escape (vtJSON) carries the same raw text the legacy codec
-// stored, so exotic values decode to the identical generic shapes either
-// way — and encoding/json sorts map keys, keeping WAL bytes deterministic
-// where a direct map encoding would not be.
+// Value tag bytes: the closed set of attribute value types a frame can
+// carry. bool, int, float64, string and []string keep their Go type;
+// anything else rides as the JSON text encoding/json renders for it
+// (map keys sorted, so WAL bytes stay deterministic) and decodes to the
+// generic map/slice/float64 shapes.
 const (
-	vtNilPtr byte = 0 // no value at all (nil *taggedValue)
-	vtNil    byte = 1 // explicit nil value ("z")
+	vtNone   byte = 0 // never written; decodes as nil
+	vtNil    byte = 1
 	vtBool   byte = 2
 	vtInt    byte = 3
 	vtFloat  byte = 4
@@ -146,69 +119,102 @@ const (
 	vtJSON   byte = 7
 )
 
-func encValue(e *wire.Encoder, t *taggedValue) {
-	if t == nil {
-		e.Byte(vtNilPtr)
-		return
-	}
-	switch t.T {
-	case "z":
+// encValue writes v under its tag. A value encoding/json cannot render
+// degrades to nil rather than poisoning the record.
+func encValue(e *wire.Encoder, v any) {
+	switch x := v.(type) {
+	case nil:
 		e.Byte(vtNil)
-	case "b":
+	case bool:
 		e.Byte(vtBool)
-		e.Bool(t.B)
-	case "i":
+		e.Bool(x)
+	case int:
 		e.Byte(vtInt)
-		e.Varint(t.I)
-	case "n":
+		e.Varint(int64(x))
+	case int32:
+		e.Byte(vtInt)
+		e.Varint(int64(x))
+	case int64:
+		e.Byte(vtInt)
+		e.Varint(x)
+	case float32:
 		e.Byte(vtFloat)
-		e.Float64(t.N)
-	case "s":
+		e.Float64(float64(x))
+	case float64:
+		e.Byte(vtFloat)
+		e.Float64(x)
+	case string:
 		e.Byte(vtString)
-		e.String(t.S)
-	case "ss":
+		e.String(x)
+	case []string:
 		e.Byte(vtStrs)
-		e.Uvarint(uint64(len(t.SS)))
-		for _, s := range t.SS {
+		e.Uvarint(uint64(len(x)))
+		for _, s := range x {
 			e.String(s)
 		}
-	case "j":
-		e.Byte(vtJSON)
-		e.RawBytes(t.J)
 	default:
-		e.Fail(fmt.Errorf("store: unknown value tag %q", t.T))
+		raw, err := json.Marshal(v)
+		if err != nil {
+			e.Byte(vtNil)
+			return
+		}
+		e.Byte(vtJSON)
+		e.RawBytes(raw)
 	}
 }
 
-func decValue(d *wire.Decoder) *taggedValue {
+// decValue reads one tagged value back to its Go type: every integer
+// width is an int, every float a float64, an empty []string is nil.
+func decValue(d *wire.Decoder) any {
 	switch b := d.Byte(); b {
-	case vtNilPtr:
+	case vtNone, vtNil:
 		return nil
-	case vtNil:
-		return &taggedValue{T: "z"}
 	case vtBool:
-		return &taggedValue{T: "b", B: d.Bool()}
+		return d.Bool()
 	case vtInt:
-		return &taggedValue{T: "i", I: d.Varint()}
+		return int(d.Varint())
 	case vtFloat:
-		return &taggedValue{T: "n", N: d.Float64()}
+		return d.Float64()
 	case vtString:
-		return &taggedValue{T: "s", S: d.String()}
+		return d.String()
 	case vtStrs:
-		t := &taggedValue{T: "ss"}
+		var ss []string
 		if n := d.Count(1); n > 0 {
-			t.SS = make([]string, n)
-			for i := range t.SS {
-				t.SS[i] = d.String()
+			ss = make([]string, n)
+			for i := range ss {
+				ss[i] = d.String()
 			}
 		}
-		return t
+		return ss
 	case vtJSON:
-		return &taggedValue{T: "j", J: append([]byte(nil), d.RawBytes()...)}
+		var v any
+		if err := json.Unmarshal(d.RawBytes(), &v); err != nil {
+			return nil
+		}
+		return v
 	default:
 		d.Fail(fmt.Errorf("store: unknown value tag byte %d", b))
 		return nil
 	}
+}
+
+// normValue returns v as a replay will recover it, so the live state and
+// the replayed state hold identical values. The types decValue returns
+// pass through; any other goes through the codec, which is then the one
+// definition of what it becomes.
+func normValue(v any) any {
+	switch x := v.(type) {
+	case nil, bool, int, float64, string:
+		return v
+	case []string:
+		if len(x) > 0 { // an empty one decodes as nil
+			return v
+		}
+	}
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	encValue(e, v)
+	return decValue(wire.NewDecoder(e.Bytes()))
 }
 
 func encStoredOp(e *wire.Encoder, op StoredOp) {
@@ -263,42 +269,43 @@ func decStoredOp(d *wire.Decoder) StoredOp {
 	return op
 }
 
-func encSnapshot(e *wire.Encoder, s snapshot) {
-	e.Uvarint(uint64(len(s.Attrs)))
-	for _, a := range s.Attrs {
+func encSnapshot(e *wire.Encoder, s State) {
+	attrs := s.SortedAttrs()
+	e.Uvarint(uint64(len(attrs)))
+	for _, a := range attrs {
 		e.String(a.Name)
-		encValue(e, a.Val)
+		encValue(e, a.Value)
 		e.String(a.Script)
 	}
 	if r := s.Reservation; r != nil {
 		e.Byte(1)
 		e.String(r.QueryID)
-		e.Varint(r.Exp)
+		e.Varint(r.Expires.UnixNano())
 		e.Bool(r.Committed)
 	} else {
 		e.Byte(0)
 	}
-	e.Uvarint(uint64(len(s.Ops)))
-	for _, op := range s.Ops {
+	ops := s.SortedOps()
+	e.Uvarint(uint64(len(ops)))
+	for _, op := range ops {
 		encStoredOp(e, op)
 	}
 }
 
-func decSnapshot(d *wire.Decoder) snapshot {
-	var s snapshot
-	if n := d.Count(3); n > 0 {
-		s.Attrs = make([]snapAttr, n)
-		for i := range s.Attrs {
-			s.Attrs[i] = snapAttr{Name: d.String(), Val: decValue(d), Script: d.String()}
-		}
+func decSnapshot(d *wire.Decoder) State {
+	s := State{Attrs: make(map[string]StoredAttr)}
+	for n := d.Count(3); n > 0; n-- {
+		a := StoredAttr{Name: d.String(), Value: decValue(d), Script: d.String()}
+		s.Attrs[a.Name] = a
 	}
 	if d.Byte() != 0 {
-		s.Reservation = &snapReservation{QueryID: d.String(), Exp: d.Varint(), Committed: d.Bool()}
+		s.Reservation = &StoredReservation{QueryID: d.String(), Expires: time.Unix(0, d.Varint()), Committed: d.Bool()}
 	}
 	if n := d.Count(17); n > 0 {
-		s.Ops = make([]StoredOp, n)
-		for i := range s.Ops {
-			s.Ops[i] = decStoredOp(d)
+		s.Ops = make(map[string]StoredOp, n)
+		for ; n > 0; n-- {
+			op := decStoredOp(d)
+			s.Ops[op.ID] = op
 		}
 	}
 	return s
@@ -313,81 +320,92 @@ func appendFrame(buf, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// appendRecordBinary appends r's framed binary encoding to buf, using a
-// pooled wire encoder for the body.
-func appendRecordBinary(buf []byte, r record) ([]byte, error) {
-	kind := kindForOp(r.Op)
-	if kind == 0 {
-		return buf, fmt.Errorf("store: unknown record op %q", r.Op)
-	}
+// appendRecord appends r's framed encoding to buf, using a pooled wire
+// encoder for the body.
+func appendRecord(buf []byte, r record) ([]byte, error) {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	recCodec.Append(e, kind, r.Seq, r)
+	recCodec.Append(e, r.Kind, r.Seq, r)
 	if err := e.Err(); err != nil {
 		return buf, err
 	}
 	return appendFrame(buf, e.Bytes()), nil
 }
 
-// decodeRecord parses one frame body in either format: JSON text (legacy
-// dirs, Options.Format == FormatJSON) or a binary wire-codec record.
-func decodeRecord(body []byte) (record, error) {
-	if len(body) == 0 {
-		return record{}, errors.New("store: empty record body")
-	}
-	if body[0] == '{' {
-		var r record
-		if err := json.Unmarshal(body, &r); err != nil {
-			return record{}, err
+// decodeWAL parses framed records from raw, returning the records and the
+// byte offset just past the last intact frame. A short, over-long or
+// checksum-failing frame is the torn tail of the write a crash
+// interrupted: parsing stops there and the caller may truncate to good.
+// A frame whose checksum verifies but whose body does not decode was
+// written whole by a build with a different format; dropping it would
+// erase acknowledged data, so it is an error instead.
+func decodeWAL(raw []byte) (recs []record, good int, err error) {
+	off := 0
+	for off+8 <= len(raw) {
+		n := binary.LittleEndian.Uint32(raw[off:])
+		sum := binary.LittleEndian.Uint32(raw[off+4:])
+		if n == 0 || n > maxRecordLen || off+8+int(n) > len(raw) {
+			break
 		}
-		return r, nil
+		body := raw[off+8 : off+8+int(n)]
+		if crc32.ChecksumIEEE(body) != sum {
+			break
+		}
+		_, seq, r, derr := recCodec.Decode(body)
+		if derr != nil {
+			err = fmt.Errorf("store: wal frame at offset %d, kind byte %#02x, is intact but does not decode: %w", off, body[0], derr)
+			return recs, off, hintPreBinary(err, body)
+		}
+		r.Seq = seq
+		recs = append(recs, r)
+		off += 8 + int(n)
 	}
-	_, seq, r, err := recCodec.Decode(body)
-	if err != nil {
-		return record{}, err
-	}
-	r.Seq = seq
-	return r, nil
+	return recs, off, nil
 }
 
-// encodeSnapshotBinary renders the whole snapshot file: magic plus one
-// framed kindSnapshot record whose header seq is the snapshot sequence.
-func encodeSnapshotBinary(snap snapshot) ([]byte, error) {
+// hintPreBinary says how to upgrade when undecodable bytes start like the
+// JSON text builds before the binary format wrote.
+func hintPreBinary(err error, b []byte) error {
+	if len(b) > 0 && b[0] == '{' {
+		return fmt.Errorf("%w (written by a pre-binary build; open the dir once with a PR 10–12 build and compact it)", err)
+	}
+	return err
+}
+
+// encodeSnapshot renders the whole snapshot file: magic plus one framed
+// kindSnapshot record whose header seq is the snapshot sequence.
+func encodeSnapshot(s State) ([]byte, error) {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	snapCodec.Append(e, kindSnapshot, snap.Seq, snap)
+	snapCodec.Append(e, kindSnapshot, s.Seq, s)
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
 	return appendFrame(append([]byte(nil), snapMagic...), e.Bytes()), nil
 }
 
-// decodeSnapshot parses a snapshot file in either format.
-func decodeSnapshot(raw []byte) (snapshot, error) {
+// decodeSnapshot parses a snapshot file into the state it holds.
+func decodeSnapshot(raw []byte) (State, error) {
 	if !bytes.HasPrefix(raw, snapMagic) {
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return snapshot{}, fmt.Errorf("store: decode snapshot: %w", err)
-		}
-		return snap, nil
+		return State{}, hintPreBinary(errors.New("store: snapshot lacks the rbaysnap magic"), raw)
 	}
 	body := raw[len(snapMagic):]
 	if len(body) < 8 {
-		return snapshot{}, errors.New("store: binary snapshot truncated")
+		return State{}, errors.New("store: snapshot truncated")
 	}
 	n := binary.LittleEndian.Uint32(body)
 	sum := binary.LittleEndian.Uint32(body[4:])
 	if int64(n) != int64(len(body)-8) {
-		return snapshot{}, fmt.Errorf("store: binary snapshot length %d does not match %d body bytes", n, len(body)-8)
+		return State{}, fmt.Errorf("store: snapshot length %d does not match %d body bytes", n, len(body)-8)
 	}
 	payload := body[8:]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return snapshot{}, errors.New("store: binary snapshot checksum mismatch")
+		return State{}, errors.New("store: snapshot checksum mismatch")
 	}
-	_, seq, snap, err := snapCodec.Decode(payload)
+	_, seq, s, err := snapCodec.Decode(payload)
 	if err != nil {
-		return snapshot{}, fmt.Errorf("store: decode snapshot: %w", err)
+		return State{}, fmt.Errorf("store: decode snapshot: %w", err)
 	}
-	snap.Seq = seq
-	return snap, nil
+	s.Seq = seq
+	return s, nil
 }

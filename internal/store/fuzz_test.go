@@ -5,96 +5,84 @@ import (
 	"time"
 )
 
-// fuzzSeedWAL builds a WAL containing one of every record kind in the
-// given format, as real appends would lay it out.
-func fuzzSeedWAL(f *testing.F, format Format) []byte {
-	f.Helper()
+// fuzzSeedWAL builds a WAL containing one of every record kind, as real
+// appends would lay it out.
+func fuzzSeedWAL(tb testing.TB) []byte {
+	tb.Helper()
 	dir := NewMemDir()
-	l, _, err := Open(dir, Options{Policy: SyncNever, Format: format})
+	l, _, err := Open(dir, Options{Policy: SyncNever})
 	if err != nil {
-		f.Fatalf("Open: %v", err)
+		tb.Fatalf("Open: %v", err)
 	}
 	writeEvents(l)
+	l.RecordReserve("q2", time.Unix(7, 0))
 	l.Close()
 	return dir.Bytes(WALName)
 }
 
 // FuzzWALDecode hammers the frame decoder with corrupted logs: torn
-// tails, bit flips, truncated length prefixes, format-boundary garbage.
-// The decoder must never panic or over-allocate, must never report more
-// good bytes than exist, and must stop on whole-frame boundaries so a
-// truncate-and-reopen converges (decode is idempotent over its own good
-// prefix).
+// tails, bit flips, truncated length prefixes, intact frames it cannot
+// decode. The decoder must never panic or over-allocate, must never
+// report more good bytes than exist, and must stop on whole-frame
+// boundaries so a truncate-and-reopen converges (decode is idempotent
+// over its own good prefix).
 func FuzzWALDecode(f *testing.F) {
-	binWAL := fuzzSeedWAL(f, FormatBinary)
-	jsonWAL := fuzzSeedWAL(f, FormatJSON)
-	f.Add(binWAL)
-	f.Add(jsonWAL)
-	f.Add(append(append([]byte(nil), jsonWAL...), binWAL...)) // mixed-format dir
-	f.Add(binWAL[:len(binWAL)/2])                             // torn mid-frame
+	wal := fuzzSeedWAL(f)
+	f.Add(wal)
+	f.Add(wal[:len(wal)/2]) // torn mid-frame
 	f.Add([]byte{})
 	f.Add([]byte{0x10, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 'x', 'y'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // length prefix > maxRecordLen
-	if len(binWAL) > 12 {
-		flipped := append([]byte(nil), binWAL...)
+	// CRC-valid but undecodable: rejected, not truncated.
+	f.Add(append(append([]byte(nil), wal...), frame(`{"q":1,"op":"set"}`)...))
+	if len(wal) > 12 {
+		flipped := append([]byte(nil), wal...)
 		flipped[10] ^= 0x40 // bit flip inside the first frame body
 		f.Add(flipped)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good := decodeWAL(data)
+		recs, good, err := decodeWAL(data)
 		if good < 0 || good > len(data) {
 			t.Fatalf("good=%d out of range [0,%d]", good, len(data))
 		}
+		if err != nil && good == len(data) {
+			t.Fatalf("decode error %v with no undecoded bytes left", err)
+		}
 		// Replaying the good prefix must yield exactly the same records:
 		// that is what Open relies on when it truncates a torn tail.
-		recs2, good2 := decodeWAL(data[:good])
-		if good2 != good || len(recs2) != len(recs) {
-			t.Fatalf("decode not idempotent over good prefix: (%d recs, %d) vs (%d recs, %d)",
-				len(recs), good, len(recs2), good2)
+		recs2, good2, err2 := decodeWAL(data[:good])
+		if good2 != good || len(recs2) != len(recs) || err2 != nil {
+			t.Fatalf("decode not idempotent over good prefix: (%d recs, %d) vs (%d recs, %d, %v)",
+				len(recs), good, len(recs2), good2, err2)
 		}
 		// Decoded records must be foldable without panic.
 		st := State{Attrs: make(map[string]StoredAttr)}
 		for _, r := range recs {
 			st.apply(r)
-			_ = r.Val.Go()
 		}
-		// The snapshot decoder shares the codec: it must error or
-		// degrade, never panic, on the same garbage. (It may succeed on
-		// JSON-compatible bytes like "null" — json.Unmarshal accepts
-		// them into the snapshot struct — which Open treats as an empty
-		// snapshot.)
+		// The snapshot decoder shares the codec: it must error, never
+		// panic, on the same garbage.
 		_, _ = decodeSnapshot(data)
 	})
 }
 
-// TestFuzzSeedsReplay keeps the fuzz seeds honest: both seed WALs must
-// decode fully and replay identical state.
+// TestFuzzSeedsReplay keeps the fuzz seed honest: it must decode fully
+// and replay the state its events describe.
 func TestFuzzSeedsReplay(t *testing.T) {
-	build := func(format Format) State {
-		dir := NewMemDir()
-		l, _, err := Open(dir, Options{Policy: SyncNever, Format: format})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		writeEvents(l)
-		l.RecordReserve("q2", time.Unix(7, 0))
-		l.Close()
-		raw := dir.Bytes(WALName)
-		recs, good := decodeWAL(raw)
-		if good != len(raw) {
-			t.Fatalf("seed WAL (format %d) does not fully decode: %d of %d", format, good, len(raw))
-		}
-		st := State{Attrs: make(map[string]StoredAttr)}
-		for _, r := range recs {
-			st.apply(r)
-		}
-		return st
+	raw := fuzzSeedWAL(t)
+	recs, good, err := decodeWAL(raw)
+	if err != nil || good != len(raw) {
+		t.Fatalf("seed WAL does not fully decode: %d of %d, err %v", good, len(raw), err)
 	}
-	if got, want := build(FormatBinary).Attrs["mem_gb"].Value, 8; got != want {
-		t.Fatalf("binary seed replay mem_gb = %#v, want %#v", got, want)
+	st := State{Attrs: make(map[string]StoredAttr)}
+	for _, r := range recs {
+		st.apply(r)
 	}
-	if got, want := build(FormatJSON).Attrs["zone"].Value, "us-east"; got != want {
-		t.Fatalf("json seed replay zone = %#v, want %#v", got, want)
+	if got, want := st.Attrs["mem_gb"].Value, 8; got != want {
+		t.Fatalf("seed replay mem_gb = %#v, want %#v", got, want)
+	}
+	if got, want := st.Attrs["zone"].Value, "us-east"; got != want {
+		t.Fatalf("seed replay zone = %#v, want %#v", got, want)
 	}
 }

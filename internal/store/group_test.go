@@ -67,8 +67,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 
 	// Buffer order must be sequence order even under concurrency.
-	recs, good := decodeWAL(dir.Bytes(WALName))
-	if good != len(dir.Bytes(WALName)) {
+	recs, good, err := decodeWAL(dir.Bytes(WALName))
+	if err != nil || good != len(dir.Bytes(WALName)) {
 		t.Fatalf("WAL has undecodable tail after concurrent appends: %d of %d", good, len(dir.Bytes(WALName)))
 	}
 	if len(recs) != int(total) {
@@ -106,8 +106,8 @@ func TestGroupCommitCrashOnGroupBoundary(t *testing.T) {
 	dir.Crash()
 
 	raw := dir.Bytes(WALName)
-	recs, good := decodeWAL(raw)
-	if good != len(raw) {
+	recs, good, err := decodeWAL(raw)
+	if err != nil || good != len(raw) {
 		t.Fatalf("crash left a torn tail: %d of %d bytes decode", good, len(raw))
 	}
 	for i, r := range recs {

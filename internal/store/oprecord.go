@@ -9,55 +9,55 @@ import "sort"
 // recoverable: replay hands the op back to the engine, which re-drives
 // it to done or durably rolls it back.
 type StoredOp struct {
-	ID      string `json:"id"`
-	Kind    string `json:"k"`
-	State   string `json:"st"`
-	IdemKey string `json:"ik,omitempty"`
-	Tenant  string `json:"tn,omitempty"`
+	ID      string
+	Kind    string
+	State   string
+	IdemKey string
+	Tenant  string
 	// Query, Payload, Caller and Mode are a reserve op's SQL text, onGet
 	// payload, caller identity and view mode — everything a restart
 	// needs to re-run the query.
-	Query   string `json:"q,omitempty"`
-	Payload string `json:"pw,omitempty"`
-	Caller  string `json:"cl,omitempty"`
-	Mode    string `json:"vm,omitempty"`
+	Query   string
+	Payload string
+	Caller  string
+	Mode    string
 	// FromOp names the reserve op a commit/release op resolves its
 	// query ID and candidates from.
-	FromOp string `json:"fo,omitempty"`
+	FromOp string
 	// QueryID and Candidates are the reservation being committed or
 	// released; a done reserve op records its result here in the same
 	// frame as the state transition.
-	QueryID    string        `json:"qid,omitempty"`
-	Candidates []OpCandidate `json:"c,omitempty"`
+	QueryID    string
+	Candidates []OpCandidate
 	// Updates is an attrs op's JSON-encoded update list ([{name,value}]).
-	Updates   string `json:"u,omitempty"`
-	Error     string `json:"e,omitempty"`
-	Shortfall int    `json:"sf,omitempty"`
+	Updates   string
+	Error     string
+	Shortfall int
 	// CreatedNanos/UpdatedNanos are Unix nanoseconds on the owning
 	// node's clock (virtual under simulation).
-	CreatedNanos int64 `json:"cr,omitempty"`
-	UpdatedNanos int64 `json:"up,omitempty"`
+	CreatedNanos int64
+	UpdatedNanos int64
 }
 
 // OpCandidate is one reserved resource inside an op record — the store's
 // codec-free mirror of core.Candidate (NodeID plus the owner's address).
 type OpCandidate struct {
-	NodeID string `json:"n,omitempty"`
-	Site   string `json:"s,omitempty"`
-	Host   string `json:"h,omitempty"`
+	NodeID string
+	Site   string
+	Host   string
 }
 
 // RecordOp records an operation upsert: the full op record travels in
 // one frame, so a state transition plus its result (query ID,
 // candidates) lands atomically or not at all.
 func (l *Log) RecordOp(op StoredOp) {
-	l.append(record{Op: opOpUpsert, OpRec: &op})
+	l.append(record{Kind: kindOpUpsert, OpRec: &op})
 }
 
 // RecordOpDelete records the retirement of a terminal op record
 // (retention pruning).
 func (l *Log) RecordOpDelete(id string) {
-	l.append(record{Op: opOpDelete, Query: id})
+	l.append(record{Kind: kindOpDelete, Query: id})
 }
 
 // SortedOps returns the recovered op records in creation order (ID as

@@ -17,10 +17,7 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 	"time"
@@ -38,10 +35,6 @@ const (
 	// durable.
 	snapTmpName = "snap.tmp"
 )
-
-// maxRecordLen bounds one WAL record's payload; a longer length prefix
-// means the tail is garbage, not a record.
-const maxRecordLen = 1 << 24
 
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
@@ -96,19 +89,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// Format selects the WAL frame and snapshot encoding a Log writes.
-// Reading always understands both (per-frame dispatch, see codec.go).
-type Format int
-
-const (
-	// FormatBinary writes wire-codec frames (the default).
-	FormatBinary Format = iota
-	// FormatJSON writes the legacy JSON frames. It exists so tests can
-	// fabricate pre-binary data dirs and benchmarks can measure the old
-	// encode path; new deployments have no reason to choose it.
-	FormatJSON
-)
-
 // Options tunes a Log.
 type Options struct {
 	// Policy selects the fsync policy. Default SyncAlways.
@@ -118,9 +98,6 @@ type Options struct {
 	// CompactEvery is how many appended records trigger a
 	// snapshot+truncate compaction. Default 4096.
 	CompactEvery int
-	// Format selects the frame encoding for new writes. Default
-	// FormatBinary.
-	Format Format
 	// GroupWindow is how long the SyncGroup writer waits after the first
 	// frame of a group before flushing, letting concurrent appenders pile
 	// on. Default 500µs; negative flushes immediately (coalescing only
@@ -141,43 +118,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record operations.
-const (
-	opSet      = "set"     // attribute value posted/updated
-	opSetBatch = "setb"    // coalesced attribute batch (one frame, many keys)
-	opDelete   = "del"     // attribute withdrawn
-	opAttach   = "attach"  // AA policy script attached
-	opReserve  = "reserve" // reservation taken or its lease extended
-	opCommit   = "commit"  // reservation committed (leased)
-	opRelease  = "release" // reservation released
-	opOpUpsert = "op"      // gateway operation record created or transitioned
-	opOpDelete = "opdel"   // terminal operation record retired (retention)
-)
-
-// record is one WAL entry. Values travel through the tagged codec in
-// value.go so bool/int/float64/string round-trip with their Go types.
+// record is one WAL entry; Kind is its on-disk kind byte (codec.go) and
+// selects which of the other fields it carries.
 type record struct {
-	Seq    uint64       `json:"q"`
-	Op     string       `json:"op"`
-	Attr   string       `json:"a,omitempty"`
-	Val    *taggedValue `json:"v,omitempty"`
-	Script string       `json:"s,omitempty"`
-	Query  string       `json:"id,omitempty"`
+	Seq    uint64
+	Kind   byte
+	Attr   string
+	Val    any
+	Script string
+	Query  string
 	// Exp is a reservation's expiry as Unix nanoseconds.
-	Exp int64 `json:"exp,omitempty"`
-	// Batch is an opSetBatch record's key/value list. The whole batch
+	Exp int64
+	// Batch is a kindSetBatch record's key/value list. The whole batch
 	// shares one frame, so a crash mid-write tears the frame's CRC and the
 	// batch is dropped atomically on replay — all or nothing.
-	Batch []batchKV `json:"b,omitempty"`
-	// OpRec is an opOpUpsert record's full operation state; opOpDelete
+	Batch []BatchSet
+	// OpRec is a kindOpUpsert record's full operation state; kindOpDelete
 	// carries the retired op's ID in Query.
-	OpRec *StoredOp `json:"o,omitempty"`
-}
-
-// batchKV is one key/value pair inside an opSetBatch record.
-type batchKV struct {
-	Attr string       `json:"a"`
-	Val  *taggedValue `json:"v,omitempty"`
+	OpRec *StoredOp
 }
 
 // BatchSet is one attribute write in a RecordSetBatch call.
@@ -244,78 +202,57 @@ func (s State) clone() State {
 	return out
 }
 
+// setValue stores v under name as a replay would recover it.
+func (s *State) setValue(name string, v any) {
+	a := s.Attrs[name]
+	a.Name = name
+	a.Value = normValue(v)
+	s.Attrs[name] = a
+}
+
 // apply folds one record into the state.
 func (s *State) apply(r record) {
 	if r.Seq > s.Seq {
 		s.Seq = r.Seq
 	}
-	switch r.Op {
-	case opSet:
-		a := s.Attrs[r.Attr]
-		a.Name = r.Attr
-		a.Value = r.Val.Go()
-		s.Attrs[r.Attr] = a
-	case opSetBatch:
+	switch r.Kind {
+	case kindSet:
+		s.setValue(r.Attr, r.Val)
+	case kindSetBatch:
 		for _, kv := range r.Batch {
-			a := s.Attrs[kv.Attr]
-			a.Name = kv.Attr
-			a.Value = kv.Val.Go()
-			s.Attrs[kv.Attr] = a
+			s.setValue(kv.Name, kv.Value)
 		}
-	case opDelete:
+	case kindDelete:
 		delete(s.Attrs, r.Attr)
-	case opAttach:
+	case kindAttach:
 		a := s.Attrs[r.Attr]
 		a.Name = r.Attr
 		a.Script = r.Script
 		s.Attrs[r.Attr] = a
-	case opReserve:
+	case kindReserve:
 		if rsv := s.Reservation; rsv != nil && rsv.QueryID == r.Query {
 			rsv.Expires = time.Unix(0, r.Exp)
 			return
 		}
 		s.Reservation = &StoredReservation{QueryID: r.Query, Expires: time.Unix(0, r.Exp)}
-	case opCommit:
+	case kindCommit:
 		if rsv := s.Reservation; rsv != nil && rsv.QueryID == r.Query {
 			rsv.Committed = true
 		}
-	case opRelease:
+	case kindRelease:
 		if rsv := s.Reservation; rsv != nil && rsv.QueryID == r.Query {
 			s.Reservation = nil
 		}
-	case opOpUpsert:
+	case kindOpUpsert:
 		if r.OpRec != nil {
 			if s.Ops == nil {
 				s.Ops = make(map[string]StoredOp)
 			}
 			s.Ops[r.OpRec.ID] = *r.OpRec
 		}
-	case opOpDelete:
+	case kindOpDelete:
 		delete(s.Ops, r.Query)
 	}
-}
-
-// snapshot is the on-disk snapshot envelope. The reservation expiry is
-// Unix nanoseconds, same as WAL records, so replayed and snapshotted
-// state compare equal (a time.Time JSON round trip would not: it drops
-// the monotonic reading and normalizes the location).
-type snapshot struct {
-	Seq         uint64           `json:"seq"`
-	Attrs       []snapAttr       `json:"attrs"`
-	Reservation *snapReservation `json:"reservation,omitempty"`
-	Ops         []StoredOp       `json:"ops,omitempty"`
-}
-
-type snapReservation struct {
-	QueryID   string `json:"id"`
-	Exp       int64  `json:"exp"`
-	Committed bool   `json:"committed,omitempty"`
-}
-
-type snapAttr struct {
-	Name   string       `json:"name"`
-	Val    *taggedValue `json:"val,omitempty"`
-	Script string       `json:"script,omitempty"`
 }
 
 // flushThreshold bounds the pending-frame buffer for the non-blocking
@@ -382,26 +319,8 @@ func Open(dir Dir, opts Options) (*Log, State, error) {
 	if raw, ok, err := dir.ReadFile(SnapName); err != nil {
 		return nil, State{}, fmt.Errorf("store: read snapshot: %w", err)
 	} else if ok {
-		snap, err := decodeSnapshot(raw)
-		if err != nil {
+		if l.state, err = decodeSnapshot(raw); err != nil {
 			return nil, State{}, err
-		}
-		l.state.Seq = snap.Seq
-		for _, a := range snap.Attrs {
-			l.state.Attrs[a.Name] = StoredAttr{Name: a.Name, Value: a.Val.Go(), Script: a.Script}
-		}
-		if r := snap.Reservation; r != nil {
-			l.state.Reservation = &StoredReservation{
-				QueryID:   r.QueryID,
-				Expires:   time.Unix(0, r.Exp),
-				Committed: r.Committed,
-			}
-		}
-		if len(snap.Ops) > 0 {
-			l.state.Ops = make(map[string]StoredOp, len(snap.Ops))
-			for _, op := range snap.Ops {
-				l.state.Ops[op.ID] = op
-			}
 		}
 	}
 
@@ -410,7 +329,10 @@ func Open(dir Dir, opts Options) (*Log, State, error) {
 		return nil, State{}, fmt.Errorf("store: read wal: %w", err)
 	}
 	if ok {
-		recs, good := decodeWAL(raw)
+		recs, good, err := decodeWAL(raw)
+		if err != nil {
+			return nil, State{}, err
+		}
 		for _, r := range recs {
 			if r.Seq <= l.state.Seq && r.Seq != 0 {
 				// Already folded into the snapshot (crash landed between the
@@ -420,8 +342,8 @@ func Open(dir Dir, opts Options) (*Log, State, error) {
 			l.state.apply(r)
 		}
 		if good < len(raw) {
-			// Torn or corrupt tail: drop it durably so the next append does
-			// not splice valid records onto garbage.
+			// Torn tail: drop it durably so the next append does not splice
+			// valid records onto garbage.
 			if err := dir.WriteFile(WALName, raw[:good]); err != nil {
 				return nil, State{}, fmt.Errorf("store: truncate torn wal tail: %w", err)
 			}
@@ -454,52 +376,6 @@ func (l *Log) SetMetrics(reg *metrics.Registry) {
 	l.mu.Unlock()
 }
 
-// decodeWAL parses framed records from raw, returning the records and the
-// byte offset of the last fully valid frame. Parsing stops at the first
-// truncated or checksum-failing frame: everything after it is treated as
-// the torn tail of the final (interrupted) write. Each frame's body may
-// be JSON or binary independently — a dir written by an older build and
-// appended to by this one replays as one continuous sequence.
-func decodeWAL(raw []byte) (recs []record, good int) {
-	off := 0
-	for off+8 <= len(raw) {
-		n := binary.LittleEndian.Uint32(raw[off:])
-		sum := binary.LittleEndian.Uint32(raw[off+4:])
-		if n == 0 || n > maxRecordLen || off+8+int(n) > len(raw) {
-			break
-		}
-		body := raw[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(body) != sum {
-			break
-		}
-		r, err := decodeRecord(body)
-		if err != nil {
-			break
-		}
-		recs = append(recs, r)
-		off += 8 + int(n)
-	}
-	return recs, off
-}
-
-// encodeRecordLocked appends r's framed encoding to the pending buffer.
-func (l *Log) encodeRecordLocked(r record) error {
-	if l.opts.Format == FormatJSON {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		l.buf = appendFrame(l.buf, payload)
-		return nil
-	}
-	buf, err := appendRecordBinary(l.buf, r)
-	if err != nil {
-		return err
-	}
-	l.buf = buf
-	return nil
-}
-
 // append accepts one record, applying the sync and compaction policies.
 // The sequence number, state fold, and buffer position are all assigned
 // under one critical section, so buffer order is sequence order no
@@ -515,7 +391,8 @@ func (l *Log) append(r record) {
 	l.state.Seq++
 	r.Seq = l.state.Seq
 	l.state.apply(r)
-	if err := l.encodeRecordLocked(r); err != nil {
+	var err error
+	if l.buf, err = appendRecord(l.buf, r); err != nil {
 		l.noteErr(err)
 		l.mu.Unlock()
 		return
@@ -616,24 +493,9 @@ func (l *Log) noteErr(err error) {
 	}
 }
 
-// tagPool recycles the transient taggedValues the hot append paths box
-// caller values into. A record's Val lives only for the append call —
-// apply unwraps it via Go() and the codec copies its bytes out — so the
-// wrappers go straight back to the pool, keeping RecordSet and the churn
-// pipeline's RecordSetBatch off the allocator.
-var tagPool = sync.Pool{New: func() any { return new(taggedValue) }}
-
-// batchPool recycles RecordSetBatch's internal []batchKV, which is
-// likewise dead once append returns.
-var batchPool sync.Pool
-
 // RecordSet records an attribute post/update.
 func (l *Log) RecordSet(name string, value any) {
-	tv := tagPool.Get().(*taggedValue)
-	tv.set(value)
-	l.append(record{Op: opSet, Attr: name, Val: tv})
-	*tv = taggedValue{}
-	tagPool.Put(tv)
+	l.append(record{Kind: kindSet, Attr: name, Val: value})
 }
 
 // RecordSetBatch records a coalesced batch of attribute updates as ONE
@@ -645,49 +507,32 @@ func (l *Log) RecordSetBatch(entries []BatchSet) {
 	if len(entries) == 0 {
 		return
 	}
-	var batch []batchKV
-	if p, _ := batchPool.Get().(*[]batchKV); p != nil && cap(*p) >= len(entries) {
-		batch = (*p)[:len(entries)]
-	} else {
-		batch = make([]batchKV, len(entries))
-	}
-	for i, e := range entries {
-		tv := tagPool.Get().(*taggedValue)
-		tv.set(e.Value)
-		batch[i] = batchKV{Attr: e.Name, Val: tv}
-	}
-	l.append(record{Op: opSetBatch, Batch: batch})
-	for i := range batch {
-		*batch[i].Val = taggedValue{}
-		tagPool.Put(batch[i].Val)
-		batch[i] = batchKV{}
-	}
-	batchPool.Put(&batch)
+	l.append(record{Kind: kindSetBatch, Batch: entries})
 }
 
 // RecordDelete records an attribute withdrawal.
 func (l *Log) RecordDelete(name string) {
-	l.append(record{Op: opDelete, Attr: name})
+	l.append(record{Kind: kindDelete, Attr: name})
 }
 
 // RecordAttach records an AA policy attachment.
 func (l *Log) RecordAttach(name, script string) {
-	l.append(record{Op: opAttach, Attr: name, Script: script})
+	l.append(record{Kind: kindAttach, Attr: name, Script: script})
 }
 
 // RecordReserve records a reservation being taken or extended.
 func (l *Log) RecordReserve(queryID string, expires time.Time) {
-	l.append(record{Op: opReserve, Query: queryID, Exp: expires.UnixNano()})
+	l.append(record{Kind: kindReserve, Query: queryID, Exp: expires.UnixNano()})
 }
 
 // RecordCommit records a reservation commit (lease).
 func (l *Log) RecordCommit(queryID string) {
-	l.append(record{Op: opCommit, Query: queryID})
+	l.append(record{Kind: kindCommit, Query: queryID})
 }
 
 // RecordRelease records a reservation release.
 func (l *Log) RecordRelease(queryID string) {
-	l.append(record{Op: opRelease, Query: queryID})
+	l.append(record{Kind: kindRelease, Query: queryID})
 }
 
 // Sync makes every appended record durable and returns the first write
@@ -745,21 +590,7 @@ func (l *Log) compactLocked() {
 	if l.firstErr != nil {
 		return
 	}
-	snap := snapshot{Seq: l.state.Seq}
-	if r := l.state.Reservation; r != nil {
-		snap.Reservation = &snapReservation{QueryID: r.QueryID, Exp: r.Expires.UnixNano(), Committed: r.Committed}
-	}
-	for _, a := range l.state.SortedAttrs() {
-		snap.Attrs = append(snap.Attrs, snapAttr{Name: a.Name, Val: tagValue(a.Value), Script: a.Script})
-	}
-	snap.Ops = l.state.SortedOps()
-	var raw []byte
-	var err error
-	if l.opts.Format == FormatJSON {
-		raw, err = json.Marshal(snap)
-	} else {
-		raw, err = encodeSnapshotBinary(snap)
-	}
+	raw, err := encodeSnapshot(l.state)
 	if err != nil {
 		l.noteErr(err)
 		return

@@ -1,12 +1,10 @@
-// WAL codec and group-commit benchmarks (docs/RECOVERY.md): the binary
-// frame encoder against the legacy JSON path, and fsync coalescing under
-// concurrent appenders. Run with
+// WAL codec and group-commit benchmarks (docs/RECOVERY.md): the frame
+// encoder, and fsync coalescing under concurrent appenders. Run with
 //
 //	make bench-wal
 //
-// BenchmarkWALAppendJSON/Binary isolate encode+buffer cost (SyncNever on
-// an in-memory dir), so the ratio between them is the pure codec win.
-// BenchmarkWALGroupCommit measures the durable path: every append blocks
+// BenchmarkWALAppendBinary isolates encode+buffer cost (SyncNever on an
+// in-memory dir). BenchmarkWALGroupCommit measures the durable path: every append blocks
 // until its group's fsync, so ns/op includes the (simulated) flush and
 // the reported fsyncs/op shows the coalescing factor.
 package rbay_test
@@ -62,10 +60,11 @@ func (w *walWorkload) run(l *store.Log, i int) {
 	l.RecordCommit("bench-query")
 }
 
-func benchWALAppend(b *testing.B, format store.Format) {
+// BenchmarkWALAppendBinary keeps its name: bench-smoke and BENCH_seed.json
+// key on it.
+func BenchmarkWALAppendBinary(b *testing.B) {
 	l, _, err := store.Open(store.NewMemDir(), store.Options{
 		Policy:       store.SyncNever,
-		Format:       format,
 		CompactEvery: 1 << 30,
 	})
 	if err != nil {
@@ -79,9 +78,6 @@ func benchWALAppend(b *testing.B, format store.Format) {
 		w.run(l, i)
 	}
 }
-
-func BenchmarkWALAppendJSON(b *testing.B)   { benchWALAppend(b, store.FormatJSON) }
-func BenchmarkWALAppendBinary(b *testing.B) { benchWALAppend(b, store.FormatBinary) }
 
 // BenchmarkWALGroupCommit: N goroutines append concurrently under
 // -fsync=group; each op is one durably-acked RecordSet. fsyncs/op < 1
