@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build bench-vet test race bench bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build bench-vet test race race-handoff bench bench-durable bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
-ci: fmt-check vet build bench-vet race chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
+ci: fmt-check vet build bench-vet race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,13 @@ test:
 # inter-test state dependencies surface in CI instead of on laptops.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The durable-write pipeline's tests hand work between the event context,
+# the flusher, HTTP goroutines and the flush leader; one pass under -race
+# proves little about a hand-off, so they get three more.
+race-handoff:
+	$(GO) test -race -count=3 -run 'TestSyncCoalesces|TestCrashOnFlushBoundary|TestCompactionRidesSync|TestNoDurabilityClaimAfterDeviceFault|TestNoAckWithoutDurableFrame|TestFailedVisitIsNotForwarded|TestOutputsWaitForSync|TestDeviceCallsStayOffTheEventContext|TestTerminalStateWaitsForItsRecord|TestSubmitRejectsUnrecordedOp' \
+		./internal/store ./internal/core ./internal/ops
 
 # Seeded fault-injection campaign against the simulated federation; see
 # docs/TESTING.md. Override with e.g. `make chaos CHAOS_SEED=7`. Add
@@ -83,8 +90,8 @@ gateway-smoke:
 bench-churn:
 	$(GO) test -bench 'BenchmarkChurn' -benchtime 1x -benchmem -run '^$$' .
 
-# WAL codec and group-commit benchmarks: frame encoding, and fsync
-# coalescing at 1/8/64 concurrent appenders (docs/RECOVERY.md).
+# WAL codec and Sync-coalescing benchmarks: frame encoding, and fsyncs
+# shared by 1/8/64 concurrent append+Sync callers (docs/RECOVERY.md).
 bench-wal:
 	$(GO) test -bench 'BenchmarkWAL' -benchtime 1000x -benchmem -run '^$$' .
 
@@ -100,6 +107,13 @@ fuzz-store:
 
 fuzz-store-smoke:
 	$(MAKE) fuzz-store FUZZ_TIME=5s
+
+# The durable-write seam, layer by layer: what the event context pays per
+# record (BenchmarkAppend: no device call, no allocation), the barrier
+# (BenchmarkAppendSync, fsyncs/op) and the node's record → Sync → release
+# round trip on a zero-delay disk (BenchmarkDurableAck).
+bench-durable:
+	$(GO) test -bench 'BenchmarkAppend|BenchmarkDurableAck' -benchtime 20000x -benchmem -run '^$$' ./internal/store ./internal/core
 
 # Hot-path benchmarks (probe, anycast, cross-site, parser, WAL append,
 # churn apply, ops-engine submit). BENCH_seed.json was produced from this
@@ -126,9 +140,9 @@ bench-diff:
 # view-served recurring query, and the binary WAL append path must stay
 # within 20% of BENCH_seed.json on ns/op and allocs/op. allocs/op is
 # deterministic; ns/op uses the min of 3 runs so scheduler noise doesn't
-# flag a phantom regression. The churn apply and group-commit benchmarks
-# run alongside for visibility (no baseline gate: their wall clock is
-# fsync- and window-bound, not CPU-bound).
+# flag a phantom regression. The churn apply and Sync-coalescing
+# benchmarks run alongside for visibility (no baseline gate: their wall
+# clock is fsync-bound, not CPU-bound).
 bench-smoke:
 	$(GO) test -bench 'QueryCrossSite|QueryViewServed|ChurnApply|WALAppend' -benchtime 20x -count 3 -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -diff BENCH_seed.json -gate 'QueryCrossSite|QueryViewServed|WALAppendBinary' -max-regress 20

@@ -5,14 +5,17 @@
 //
 //	rbayd -addr site/host -listen :7946 -peers peers.txt -registry registry.json
 //	      [-bootstrap | -seed site/host] [-http :8080] [-debug-addr localhost:6060]
-//	      [-data-dir /var/lib/rbayd] [-fsync always|group|interval|never]
-//	      [-fsync-group-window 500us]
+//	      [-data-dir /var/lib/rbayd] [-fsync always|interval|never]
 //	      [-attr name=value]... [-policy attr=script.aal]...
 //
 // peers.txt maps node addresses to TCP endpoints ("virginia/n1 10.0.0.5:7946");
 // registry.json declares the federation's aggregation trees. The first
 // node of a federation starts with -bootstrap; later nodes join through
 // any running peer with -seed.
+//
+// With -data-dir, nothing the node acknowledges precedes its fsync, and a
+// failed write or fsync stops the daemon with a non-zero exit
+// (docs/RECOVERY.md). -fsync group is a deprecated spelling of always.
 package main
 
 import (
@@ -58,9 +61,8 @@ func run(args []string) error {
 	hbMisses := fs.Int("hb-misses", 3, "missed heartbeats before a peer conn is declared dead")
 	sendQueue := fs.Int("sendq", 1024, "per-endpoint delivery queue bound")
 	dataDir := fs.String("data-dir", "", "durable state directory (empty: in-memory only, state dies with the process)")
-	fsyncFlag := fs.String("fsync", "always", "store fsync policy: always, group, interval, or never")
+	fsyncFlag := fs.String("fsync", "always", "who waits for the store's fsync: always (acks do), interval or never (nobody)")
 	fsyncInterval := fs.Duration("fsync-interval", 2*time.Second, "fsync period under -fsync interval")
-	fsyncGroupWindow := fs.Duration("fsync-group-window", 0, "group-commit flush window under -fsync group (0: store default, negative: flush immediately)")
 	debugAddr := fs.String("debug-addr", "", "net/http/pprof listen address (e.g. localhost:6060; empty disables)")
 	opsWorkers := fs.Int("ops-workers", 8, "gateway async-op worker pool size")
 	opsQueue := fs.Int("ops-queue", 256, "gateway async-op queue bound (submissions above it get 429)")
@@ -121,10 +123,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		st, state, err := rbay.OpenStoreOptions(*dataDir, policy, rbay.StoreOptions{
-			Interval:    *fsyncInterval,
-			GroupWindow: *fsyncGroupWindow,
-		})
+		if *fsyncFlag == "group" {
+			fmt.Fprintln(os.Stderr, "rbayd: -fsync group is deprecated: always now coalesces concurrent fsyncs; using always")
+		}
+		st, state, err := rbay.OpenStore(*dataDir, policy, *fsyncInterval)
 		if err != nil {
 			return fmt.Errorf("open data dir: %w", err)
 		}
@@ -272,7 +274,14 @@ func run(args []string) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
+	var s os.Signal
+	select {
+	case s = <-sig:
+	case <-node.Node.StoreFailed():
+		// Fail-stop: the node already refuses to acknowledge anything;
+		// exiting lets the supervisor and the peers see it.
+		return node.Node.StoreErr()
+	}
 	// Graceful departure: stop accepting HTTP work, drain in-flight
 	// gateway ops (incomplete ones stay in the WAL and resume on the next
 	// boot), release releasable reservations, leave every tree so parents

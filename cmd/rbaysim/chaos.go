@@ -26,9 +26,8 @@ func runChaos(args []string) error {
 	dumpMetrics := fs.Bool("metrics", false, "print the merged per-node metric snapshot (counters + latency/count histograms) after the run")
 	verbose := fs.Bool("v", false, "stream the event log while running (also printed at the end)")
 	durable := fs.Bool("durable", false, "back every node with a crash-consistent virtual disk; restarts recover by WAL replay + re-federation and the durability invariant is armed")
-	fsyncFlag := fs.String("fsync", "always", "durable nodes' fsync policy: always, group, interval, or never")
+	fsyncFlag := fs.String("fsync", "always", "durable nodes' fsync policy: always, interval, or never")
 	fsyncInterval := fs.Duration("fsync-interval", 2*time.Second, "fsync period under -fsync interval")
-	fsyncGroupWindow := fs.Duration("fsync-group-window", 0, "group-commit flush window under -fsync group (0: store default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -50,15 +49,14 @@ func runChaos(args []string) error {
 	scn := chaos.RandomScenario(*seed, *steps, sites)
 	scn.Settle = *settle
 	opts := chaos.Options{
-		Sites:            sites,
-		NodesPerSite:     *nodesPerSite,
-		Churn:            true,
-		Passwords:        true,
-		PlantStep:        *plant,
-		Durable:          *durable,
-		Fsync:            fsync,
-		FsyncInterval:    *fsyncInterval,
-		FsyncGroupWindow: *fsyncGroupWindow,
+		Sites:         sites,
+		NodesPerSite:  *nodesPerSite,
+		Churn:         true,
+		Passwords:     true,
+		PlantStep:     *plant,
+		Durable:       *durable,
+		Fsync:         fsync,
+		FsyncInterval: *fsyncInterval,
 	}
 	if *verbose {
 		opts.Log = os.Stderr

@@ -33,7 +33,6 @@ func TestDurableRestartSmoke(t *testing.T) {
 		{"always", Options{Durable: true, Fsync: store.SyncAlways}},
 		{"interval", Options{Durable: true, Fsync: store.SyncInterval, FsyncInterval: 200 * time.Millisecond}},
 		{"never", Options{Durable: true, Fsync: store.SyncNever}},
-		{"group", Options{Durable: true, Fsync: store.SyncGroup, FsyncGroupWindow: 100 * time.Microsecond}},
 	}
 	for _, p := range policies {
 		p := p

@@ -65,10 +65,6 @@ type Options struct {
 	Fsync store.SyncPolicy
 	// FsyncInterval is the SyncInterval period (see store.Options).
 	FsyncInterval time.Duration
-	// FsyncGroupWindow is the SyncGroup flush window (see store.Options).
-	// Crash cuts stay on group boundaries regardless of the window: the
-	// MemDir synced watermark only advances at the group's write+fsync.
-	FsyncGroupWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -282,11 +278,7 @@ func New(scn Scenario, opts Options) (*Harness, error) {
 
 // storeOpts maps the harness options onto the store's.
 func (h *Harness) storeOpts() store.Options {
-	return store.Options{
-		Policy:      h.opts.Fsync,
-		Interval:    h.opts.FsyncInterval,
-		GroupWindow: h.opts.FsyncGroupWindow,
-	}
+	return store.Options{Policy: h.opts.Fsync, Interval: h.opts.FsyncInterval}
 }
 
 // recordDurableBase snapshots the node's stable layout attributes — the
@@ -572,7 +564,7 @@ func (h *Harness) restartOne(site string) {
 		h.restoredState[key] = st
 		state = st
 	}
-	n, err := core.New(h.net, addr, h.reg, cfg)
+	n, err := h.fed.NewNode(addr, cfg)
 	if err != nil {
 		h.skip(Step{Kind: Restart, Site: site}, "attach failed: "+err.Error())
 		return

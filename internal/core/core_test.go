@@ -12,7 +12,7 @@ import (
 
 // testRegistry builds a small catalog: a GPU tree, two utilization
 // threshold trees, and an instance-type tree.
-func testRegistry(t *testing.T) *naming.Registry {
+func testRegistry(t testing.TB) *naming.Registry {
 	t.Helper()
 	r := naming.NewRegistry()
 	r.MustDefine(naming.TreeDef{Name: "GPU", Pred: naming.Pred{Attr: "GPU", Op: naming.OpEq, Value: true}, Creator: "rbay"})

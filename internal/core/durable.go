@@ -13,6 +13,9 @@ import (
 // through: attribute posts/withdrawals, AA policy attachments, and
 // reservation transitions. *store.Log implements it; the default is nil
 // (no store — simnet tests stay pure in-memory and pay nothing).
+//
+// The Record* methods only queue: they return before the record is on
+// disk, and the node holds its outputs until a Sync covers it (gate.go).
 type Store interface {
 	RecordSet(name string, value any)
 	// RecordSetBatch records a coalesced batch of attribute updates as a
@@ -24,10 +27,17 @@ type Store interface {
 	RecordReserve(queryID string, expires time.Time)
 	RecordCommit(queryID string)
 	RecordRelease(queryID string)
-	// Sync makes everything recorded so far durable.
+	// SyncDue reports whether the store's policy wants a Sync now; the node
+	// asks after every record.
+	SyncDue() bool
+	// Sync makes everything recorded before the call durable, or returns
+	// the error that prevented it; the error is sticky. Safe from any
+	// goroutine.
 	Sync() error
+	// Err returns the sticky error without syncing.
+	Err() error
 	// SyncInterval is the period the node should call Sync at; 0 means the
-	// store syncs itself (always or never) and needs no timer.
+	// policy needs no timer.
 	SyncInterval() time.Duration
 	// Close syncs and detaches the store.
 	Close() error
@@ -36,10 +46,11 @@ type Store interface {
 // scheduleStoreSync arms the periodic fsync timer for interval-policy
 // stores. The timer lives on the node's event context, so it dies with
 // the endpoint on crash — a dead node cannot keep making its disk more
-// durable, which is exactly the semantics chaos crash tests need.
+// durable, which is exactly the semantics chaos crash tests need. The
+// Sync itself runs wherever the node's other Syncs do (gate.flush).
 func (n *Node) scheduleStoreSync(interval time.Duration) {
 	n.p.After(interval, func() {
-		_ = n.st.Sync()
+		n.g.flush()
 		n.scheduleStoreSync(interval)
 	})
 }
@@ -51,6 +62,7 @@ func (n *Node) scheduleStoreSync(interval time.Duration) {
 func (n *Node) storeSet(name string, value any) {
 	if n.st != nil && !n.restoring {
 		n.st.RecordSet(name, value)
+		n.g.recorded()
 		n.metrics.Inc("rbay_wal_set_frames_total")
 	}
 }
@@ -68,18 +80,21 @@ func (n *Node) storeSetBatch(entries []attr.BatchEntry) {
 		batch[i] = store.BatchSet{Name: e.Name, Value: e.Value}
 	}
 	n.st.RecordSetBatch(batch)
+	n.g.recorded()
 	n.metrics.Inc("rbay_wal_set_frames_total")
 }
 
 func (n *Node) storeDelete(name string) {
 	if n.st != nil && !n.restoring {
 		n.st.RecordDelete(name)
+		n.g.recorded()
 	}
 }
 
 func (n *Node) storeAttach(name, script string) {
 	if n.st != nil && !n.restoring {
 		n.st.RecordAttach(name, script)
+		n.g.recorded()
 	}
 }
 
@@ -88,18 +103,21 @@ func (n *Node) storeAttach(name, script string) {
 func (n *Node) recordReserve(queryID string, expires time.Time) {
 	if n.st != nil {
 		n.st.RecordReserve(queryID, expires)
+		n.g.recorded()
 	}
 }
 
 func (n *Node) recordCommit(queryID string) {
 	if n.st != nil {
 		n.st.RecordCommit(queryID)
+		n.g.recorded()
 	}
 }
 
 func (n *Node) recordRelease(queryID string) {
 	if n.st != nil {
 		n.st.RecordRelease(queryID)
+		n.g.recorded()
 	}
 }
 
@@ -154,10 +172,11 @@ func (n *Node) Refederate() {
 // it releases a still-releasable (uncommitted) local reservation,
 // announces departure to the overlay by leaving every subscribed tree
 // (parents prune the node immediately instead of waiting out a TTL),
-// flushes and closes the durable store, and closes the transport. It
-// must run on the node's event context; rbayd wraps it in DoWait from
-// the signal handler. Close, by contrast, simulates a crash: it drops
-// the transport and leaves the store unsynced.
+// flushes and closes the durable store, sends what that flush was holding
+// back, and closes the transport. It must run on the node's event
+// context; rbayd wraps it in DoWait from the signal handler. Close, by
+// contrast, simulates a crash: it drops the transport and leaves the
+// store unsynced.
 func (n *Node) Shutdown() error {
 	if r := n.reserved; r != nil && !r.committed {
 		n.handleRelease(releaseReq{QueryID: r.queryID})
@@ -173,12 +192,15 @@ func (n *Node) Shutdown() error {
 	}
 	var firstErr error
 	if n.st != nil {
-		if err := n.st.Sync(); err != nil {
-			firstErr = err
-		}
+		// The one place the event context itself waits on the device: the
+		// departure messages above must not leave before the release record
+		// they follow, and nothing runs after this to release them.
+		firstErr = n.st.Sync()
+		n.g.synced(n.g.recs, firstErr)
 		if err := n.st.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		n.g.bg.Wait()
 	}
 	if err := n.p.Close(); err != nil && firstErr == nil {
 		firstErr = err

@@ -62,7 +62,7 @@ func restartNode(t *testing.T, fed *Federation, old *Node, dir *store.MemDir, po
 	}
 	cfg := fastConfig()
 	cfg.Store = l
-	n, err := New(fed.Net, addr, fed.Registry, cfg)
+	n, err := fed.NewNode(addr, cfg)
 	if err != nil {
 		t.Fatalf("restart %s: %v", addr, err)
 	}

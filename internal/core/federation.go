@@ -101,7 +101,7 @@ func NewFederation(reg *naming.Registry, cfg FedConfig) (*Federation, error) {
 			if cfg.StoreFor != nil {
 				nodeCfg.Store = cfg.StoreFor(addr)
 			}
-			n, err := New(net, addr, reg, nodeCfg)
+			n, err := fed.NewNode(addr, nodeCfg)
 			if err != nil {
 				return nil, fmt.Errorf("core: federation: %w", err)
 			}
@@ -127,6 +127,15 @@ func NewFederation(reg *naming.Registry, cfg FedConfig) (*Federation, error) {
 		n.SetDirectory(dir)
 	}
 	return fed, nil
+}
+
+// NewNode attaches one more node to the federation's simulated network —
+// NewFederation builds every member with it, and a restart scenario
+// revives a crashed address with it. simnet is single-threaded, so these
+// nodes sync their store on the simulation thread instead of through a
+// flusher goroutine; that is the only difference from New.
+func (f *Federation) NewNode(addr transport.Addr, cfg Config) (*Node, error) {
+	return newNode(f.Net, addr, f.Registry, cfg, true)
 }
 
 // RunFor advances the simulation.

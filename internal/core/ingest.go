@@ -11,14 +11,17 @@ import (
 // coalesced batch per event-context turn. Each batch pays one WAL frame
 // (storeSetBatch) and one view re-evaluation pass
 // (viewsAttrChangedBatch) however many keys it carries, instead of the
-// per-Set frame + view pass the synchronous path pays.
+// per-Set frame + view pass the synchronous path pays. Producers are
+// acked once that frame is durable (AfterDurable); the loop itself moves
+// on to the next batch meanwhile, so batches drained back to back share
+// an fsync.
 
 // IngestEnqueue validates and enqueues one attribute update on the
 // node's churn-ingestion queue. Unlike the rest of the Node surface it
 // is safe to call from ANY goroutine — the queue marshals the apply onto
 // the event context itself. ack, if non-nil, fires exactly once (on the
-// event context): nil when the update is applied, or the
-// validation/quarantine error. The returned error reports only
+// event context): nil when the update is applied and durable, or the
+// validation, quarantine or store error. The returned error reports only
 // synchronous validation rejection.
 func (n *Node) IngestEnqueue(name string, value any, source string, ack func(error)) error {
 	return n.ing.Enqueue(name, value, source, ack)
@@ -61,8 +64,16 @@ func (n *Node) applyIngest() {
 	}
 	for _, a := range live {
 		n.metrics.Observe("rbay_ingest_staleness_seconds", start.Sub(a.At))
-		a.Ack()
 	}
+	n.AfterDurable(func(err error) {
+		for _, a := range live {
+			if err != nil {
+				n.ing.Nack(a, err.Error())
+			} else {
+				a.Ack()
+			}
+		}
+	})
 	n.metrics.Observe("rbay_ingest_apply_seconds", n.Now().Sub(start))
 	if n.ing.Depth() > 0 {
 		n.p.After(0, n.applyIngestFn)

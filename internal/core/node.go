@@ -166,10 +166,12 @@ type Node struct {
 	// registry's trees predicate over).
 	watched []string
 
-	// st is the durable store (nil: in-memory only). restoring gates the
-	// attr mutation hooks off while Restore replays state that is already
-	// on disk.
+	// st is the durable store (nil: in-memory only) and g the gate its
+	// records close in front of the node's outputs (gate.go). restoring
+	// switches the attr mutation hooks off while Restore replays state that
+	// is already on disk.
 	st        Store
+	g         *gate
 	restoring bool
 
 	// ing is the churn-ingestion queue (docs/INGEST.md); applyIngestFn is
@@ -261,6 +263,13 @@ func (statsAggregator) Combine(a, b any) any {
 // New creates an RBAY node attached to the network at addr. The registry
 // is the federation-wide tree catalog (shared, read-only after setup).
 func New(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg Config) (*Node, error) {
+	return newNode(net, addr, reg, cfg, false)
+}
+
+// newNode builds a node. inline makes it sync its store on the event
+// context instead of through a flusher goroutine: the simulated
+// federation sets it, because simnet is single-threaded.
+func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg Config, inline bool) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Scribe.AggregatorFor == nil {
 		cfg.Scribe.AggregatorFor = func(ids.ID) scribe.Aggregator { return statsAggregator{} }
@@ -272,6 +281,10 @@ func New(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg C
 	if cfg.Scribe.Metrics == nil {
 		cfg.Scribe.Metrics = reg2
 	}
+	g := newGate(cfg.Store, reg2, inline)
+	if cfg.Store != nil {
+		net = gatedNet{Network: net, g: g}
+	}
 	p, err := pastry.NewNode(net, addr, cfg.Pastry)
 	if err != nil {
 		return nil, err
@@ -279,6 +292,8 @@ func New(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg C
 	n := &Node{
 		cfg:        cfg,
 		p:          p,
+		st:         cfg.Store,
+		g:          g,
 		reg:        reg,
 		rng:        rand.New(rand.NewSource(int64(p.ID().Leading64()))),
 		subscribed: make(map[ids.ID]*naming.TreeDef),
@@ -313,7 +328,6 @@ func New(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg C
 	}
 	n.s = scribe.New(p, cfg.Scribe)
 	aalOpts := cfg.AAL
-	n.st = cfg.Store
 	// Wire the WAL's write-path series (fsync count, group size, flush
 	// latency, bytes) into the node's registry when the store exposes
 	// them (store.Log does; test fakes need not).

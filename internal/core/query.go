@@ -341,7 +341,24 @@ func (r *queryRun) finish(err error) {
 	m.Add("rbay_query_conflicts_total", uint64(res.Conflicts))
 	m.Add("rbay_query_shortfall_total", uint64(res.Shortfall))
 	r.n.recordQuery(r, res)
-	r.cb(res)
+	if r.n.g.open() {
+		r.cb(res)
+		return
+	}
+	r.deliverWhenDurable(res)
+}
+
+// deliverWhenDurable holds the result behind the gate: a candidate may be
+// this node itself, reserved by a record that is still in flight, and the
+// caller hears of it only once that record is durable. (Its own function
+// so the closure does not make every query's result escape.)
+func (r *queryRun) deliverWhenDurable(res QueryResult) {
+	r.n.AfterDurable(func(err error) {
+		if err != nil {
+			res.Err = err
+		}
+		r.cb(res)
+	})
 }
 
 // sortCandidates orders by SortKey (numbers, then strings), then by

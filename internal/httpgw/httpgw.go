@@ -106,7 +106,23 @@ func NewGateway(node *core.Node, o Options) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return s
+}
+
+// handleReadyz answers whether the node should be sent work: 503 once its
+// durable store has failed (it acknowledges nothing any more) or while
+// the ops engine is draining for shutdown. /healthz only says the process
+// is alive.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	switch err := s.node.StoreErr(); {
+	case err != nil:
+		writeErr(w, http.StatusServiceUnavailable, codeStoreFailed, err)
+	case s.eng.Draining():
+		writeErr(w, http.StatusServiceUnavailable, codeDraining, ops.ErrDraining)
+	default:
+		fmt.Fprintln(w, "ready")
+	}
 }
 
 // Engine returns the gateway's pending-operations engine (for Restore on
@@ -138,6 +154,24 @@ func (s *Server) onNode(fn func(done func())) error {
 	}
 }
 
+// mutateNode runs fn on the node and waits until what it recorded is
+// durable, so the caller's 200 is post-fsync like a 202 is. It reports
+// whether that happened; otherwise it has written the error response.
+func (s *Server) mutateNode(w http.ResponseWriter, fn func()) bool {
+	var storeErr error
+	err := s.onNode(func(done func()) {
+		fn()
+		s.node.AfterDurable(func(err error) { storeErr = err; done() })
+	})
+	switch {
+	case err != nil:
+		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	case storeErr != nil:
+		writeErr(w, http.StatusServiceUnavailable, codeStoreFailed, storeErr)
+	}
+	return err == nil && storeErr == nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -154,6 +188,7 @@ const (
 	codeRateLimited    = "rate_limited"
 	codeQueueFull      = "queue_full"
 	codeDraining       = "draining"
+	codeStoreFailed    = "store_failed"
 	codeInternal       = "internal"
 )
 
@@ -431,12 +466,7 @@ func (s *Server) handleSetAttr(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeBadRequest, errors.New("missing value parameter"))
 		return
 	}
-	err := s.onNode(func(done func()) {
-		s.node.SetAttribute(name, fedcfg.ParseAttrValue(raw))
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.mutateNode(w, func() { s.node.SetAttribute(name, fedcfg.ParseAttrValue(raw)) }) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"set": name})
@@ -449,12 +479,7 @@ func (s *Server) handleAttachPolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var attachErr error
-	err := s.onNode(func(done func()) {
-		attachErr = s.node.AttachPolicy(name, body)
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.mutateNode(w, func() { attachErr = s.node.AttachPolicy(name, body) }) {
 		return
 	}
 	if attachErr != nil {

@@ -15,15 +15,19 @@ import (
 	"rbay/internal/naming"
 	"rbay/internal/ops"
 	"rbay/internal/scribe"
+	"rbay/internal/store"
 	"rbay/internal/tcpnet"
 	"rbay/internal/transport"
 )
 
-// gwFixture is a two-node TCP federation with a gateway on the first node.
+// gwFixture is a two-node TCP federation with a gateway on the first
+// node. Composed like rbayd -data-dir: the gateway node records into a WAL
+// (on an in-memory disk) that its ops engine shares.
 type gwFixture struct {
 	ts    *httptest.Server
 	gw    *Server
 	nodes []*core.Node
+	disk  *store.MemDir
 }
 
 func newFixture(t *testing.T) *gwFixture {
@@ -31,6 +35,12 @@ func newFixture(t *testing.T) *gwFixture {
 }
 
 func newFixtureOpts(t *testing.T, ttl time.Duration, opts Options) *gwFixture {
+	t.Helper()
+	return newFixtureDisk(t, ttl, opts, func(d *store.MemDir) store.Dir { return d })
+}
+
+// newFixtureDisk lets a test decorate the gateway node's disk.
+func newFixtureDisk(t *testing.T, ttl time.Duration, opts Options, wrap func(*store.MemDir) store.Dir) *gwFixture {
 	t.Helper()
 	if ttl <= 0 {
 		ttl = time.Second
@@ -53,6 +63,15 @@ func newFixtureOpts(t *testing.T, ttl time.Duration, opts Options) *gwFixture {
 		MembershipInterval: 300 * time.Millisecond,
 		ReserveTTL:         ttl,
 	}
+	disk := store.NewMemDir()
+	log, _, err := store.Open(wrap(disk), store.Options{Policy: store.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	if opts.Ops == nil && opts.OpsStore == nil {
+		opts.OpsStore = log
+	}
 	var nodes []*core.Node
 	for i := 0; i < 2; i++ {
 		net, err := tcpnet.Listen("127.0.0.1:0", resolver)
@@ -61,6 +80,10 @@ func newFixtureOpts(t *testing.T, ttl time.Duration, opts Options) *gwFixture {
 		}
 		t.Cleanup(func() { net.Close() })
 		addr := transport.Addr{Site: "lab", Host: fmt.Sprintf("n%d", i)}
+		cfg := cfg
+		if i == 0 {
+			cfg.Store = log
+		}
 		n, err := core.New(net, addr, reg, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +118,7 @@ func newFixtureOpts(t *testing.T, ttl time.Duration, opts Options) *gwFixture {
 	t.Cleanup(ts.Close)
 
 	// Wait until the GPU tree holds both members.
-	f := &gwFixture{ts: ts, gw: gw, nodes: nodes}
+	f := &gwFixture{ts: ts, gw: gw, nodes: nodes, disk: disk}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		var stats struct {

@@ -54,6 +54,8 @@ func (s *Server) submitOp(w http.ResponseWriter, r *http.Request, req ops.Reques
 	case errors.Is(err, ops.ErrDraining):
 		w.Header().Set("Retry-After", "5")
 		writeErr(w, http.StatusServiceUnavailable, codeDraining, err)
+	case errors.Is(err, ops.ErrStoreFailed):
+		writeErr(w, http.StatusServiceUnavailable, codeStoreFailed, err)
 	default:
 		writeErr(w, http.StatusInternalServerError, codeInternal, err)
 	}

@@ -9,14 +9,12 @@ import (
 
 // BenchmarkOpsSubmit measures the gateway's accept path — validate,
 // dedup, create, WAL-persist — the work done on the HTTP goroutine
-// before a 202. The store runs group commit with an immediate flush
-// window, so concurrent submits coalesce their op-record fsyncs exactly
-// as rbayd's -fsync=group does.
+// before a 202. Each submit waits for the Sync covering its op record;
+// concurrent submits coalesce into shared fsyncs, as they do in rbayd.
 func BenchmarkOpsSubmit(b *testing.B) {
 	fed := newFed(b)
 	l, _, err := store.Open(store.NewMemDir(), store.Options{
-		Policy:       store.SyncGroup,
-		GroupWindow:  -1, // flush immediately; coalesce only natural pile-up
+		Policy:       store.SyncAlways,
 		CompactEvery: 1 << 30,
 	})
 	if err != nil {

@@ -109,10 +109,14 @@ type Op struct {
 	Updated time.Time `json:"updated"`
 }
 
-// Store is the slice of the WAL the engine persists through. A nil
+// Store is the slice of the WAL the engine persists through. It must be
+// the node's own WAL, which is where a failed write is reported. A nil
 // store keeps ops in memory only (tests, diskless nodes).
 type Store interface {
+	// RecordOp returns once the record is durable, so the engine calls it
+	// off the node's event context (Submit's caller, core.Node.Durably).
 	RecordOp(op store.StoredOp)
+	// RecordOpDelete only queues: nothing waits on a retired record.
 	RecordOpDelete(id string)
 }
 
@@ -124,6 +128,9 @@ var (
 	ErrQueueFull = errors.New("ops: queue full")
 	// ErrDraining rejects submissions during graceful shutdown (503).
 	ErrDraining = errors.New("ops: draining")
+	// ErrStoreFailed rejects submissions whose record did not reach the
+	// disk (503): the node has stopped acknowledging.
+	ErrStoreFailed = errors.New("ops: durable store failed")
 )
 
 // Config tunes an Engine. Zero values take the defaults.
@@ -180,8 +187,8 @@ func (c Config) withDefaults(n *core.Node) Config {
 
 // op is the engine's internal operation state. Fields are guarded by
 // Engine.mu; the driving logic runs on the node's event context and
-// takes the lock for every mutation, never holding it across core
-// calls.
+// takes the lock for every mutation, never holding it across core or
+// store calls.
 type op struct {
 	id      string
 	kind    Kind
@@ -203,6 +210,9 @@ type op struct {
 
 	errMsg   string
 	attempts int
+	// finishing is set once the terminal transition is decided; state
+	// stays running until that transition's record is durable.
+	finishing bool
 	// rollbackReason, once set, switches the op into its rollback phase:
 	// release every candidate, then finish rolled-back.
 	rollbackReason string
@@ -292,6 +302,9 @@ func (e *Engine) Submit(req Request) (Op, error) {
 	if err := validate(req); err != nil {
 		return Op{}, err
 	}
+	if err := e.node.StoreErr(); err != nil {
+		return Op{}, fmt.Errorf("%w: %v", ErrStoreFailed, err)
+	}
 	now := e.cfg.Now()
 	e.mu.Lock()
 	if e.draining {
@@ -345,6 +358,19 @@ func (e *Engine) Submit(req Request) (Op, error) {
 
 	if e.st != nil {
 		e.st.RecordOp(rec)
+		if err := e.node.StoreErr(); err != nil {
+			// Not on disk, so not accepted: forget the op (pump skips a
+			// queued entry that is no longer pending).
+			e.mu.Lock()
+			o.state = StateFailed
+			delete(e.ops, o.id)
+			if o.idemKey != "" {
+				delete(e.byIdem, idemKeyOf(o.tenant, o.idemKey))
+			}
+			e.active--
+			e.mu.Unlock()
+			return Op{}, fmt.Errorf("%w: %v", ErrStoreFailed, err)
+		}
 	}
 	e.m.Inc("rbay_ops_submitted_total")
 	e.m.ObserveInt("rbay_ops_queue_depth", depth)
@@ -385,6 +411,13 @@ func (e *Engine) QueueDepth() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.active
+}
+
+// Draining reports whether Drain has begun and submissions are refused.
+func (e *Engine) Draining() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.draining
 }
 
 // Restore loads recovered op records — typically store.State.Ops after
@@ -525,7 +558,7 @@ func (e *Engine) runReserve(o *op) {
 	}
 	o.deadline = e.node.Pastry().After(e.cfg.StepTimeout, func() {
 		e.mu.Lock()
-		stale := o.attempts != gen || o.state != StateRunning
+		stale := o.attempts != gen || !o.running()
 		e.mu.Unlock()
 		if stale {
 			return
@@ -536,7 +569,7 @@ func (e *Engine) runReserve(o *op) {
 
 	e.node.QueryVia(q, caller, payload, mode, func(qr core.QueryResult) {
 		e.mu.Lock()
-		stale := o.attempts != gen || o.state != StateRunning
+		stale := o.attempts != gen || !o.running()
 		if !stale && o.deadline != nil {
 			o.deadline()
 			o.deadline = nil
@@ -617,7 +650,7 @@ func (e *Engine) runCommitRelease(o *op) {
 
 	cb := func(r core.AckResult) {
 		e.mu.Lock()
-		stale := o.attempts != gen || o.state != StateRunning || o.rollbackReason != ""
+		stale := o.attempts != gen || !o.running() || o.rollbackReason != ""
 		attempts := o.attempts
 		e.mu.Unlock()
 		if stale {
@@ -669,7 +702,7 @@ func (e *Engine) runRollback(o *op) {
 	e.mu.Unlock()
 	e.node.ReleaseAcked(queryID, cands, e.cfg.StepTimeout, func(r core.AckResult) {
 		e.mu.Lock()
-		stale := o.attempts != gen || o.state != StateRunning
+		stale := o.attempts != gen || !o.running()
 		attempts := o.attempts
 		e.mu.Unlock()
 		if stale {
@@ -710,7 +743,7 @@ func (e *Engine) runAttrs(o *op) {
 				return
 			}
 			e.mu.Lock()
-			running := o.state == StateRunning
+			running := o.running()
 			e.mu.Unlock()
 			if !running {
 				return
@@ -757,7 +790,7 @@ func (e *Engine) retryAfterBackoff(o *op, attempts int) {
 	}
 	e.node.Pastry().After(backoff, func() {
 		e.mu.Lock()
-		run := o.state == StateRunning
+		run := o.running()
 		e.mu.Unlock()
 		if run {
 			e.startOp(o)
@@ -765,25 +798,51 @@ func (e *Engine) retryAfterBackoff(o *op, attempts int) {
 	})
 }
 
-// finish moves o to a terminal state, persists the transition, prunes
-// old terminal records, flushes dependents and refills worker slots.
-// Node event context only.
+// finish decides o's terminal transition, persists it off the event
+// context, and publishes it — state visible to Get, dependents queued,
+// worker slot freed — only once the record is durable, so no caller ever
+// reads a terminal state a crash could take back. Node event context
+// only.
 func (e *Engine) finish(o *op, state State, errMsg string) {
 	e.mu.Lock()
-	if o.state.Terminal() {
+	if o.state.Terminal() || o.finishing {
 		e.mu.Unlock()
 		return
 	}
-	if o.state == StateRunning {
-		e.runningN--
-	}
+	o.finishing = true
 	if o.deadline != nil {
 		o.deadline()
 		o.deadline = nil
 	}
+	now := e.cfg.Now()
+	rec := o.stored()
+	rec.State, rec.Error, rec.UpdatedNanos = string(state), errMsg, now.UnixNano()
+	e.mu.Unlock()
+
+	if e.st == nil {
+		e.publish(o, state, errMsg, now)
+		return
+	}
+	e.node.Durably(func() { e.st.RecordOp(rec) }, func(err error) {
+		// On an error the node has stopped: the op stays running for a
+		// restart to re-drive from its last durable record.
+		if err == nil {
+			e.publish(o, state, errMsg, now)
+		}
+	})
+}
+
+// publish makes o's durable terminal state visible, prunes old terminal
+// records, flushes dependents and refills worker slots. Node event
+// context only.
+func (e *Engine) publish(o *op, state State, errMsg string, now time.Time) {
+	e.mu.Lock()
+	if o.state == StateRunning {
+		e.runningN--
+	}
 	o.state = state
 	o.errMsg = errMsg
-	o.updated = e.cfg.Now()
+	o.updated = now
 	e.active--
 	e.terminalQ = append(e.terminalQ, o.id)
 	var evict []string
@@ -804,13 +863,11 @@ func (e *Engine) finish(o *op, state State, errMsg string) {
 	waiters := e.waiters[o.id]
 	delete(e.waiters, o.id)
 	e.queue = append(e.queue, waiters...)
-	rec := o.stored()
 	latency := o.updated.Sub(o.created)
 	depth := e.active
 	e.mu.Unlock()
 
 	if e.st != nil {
-		e.st.RecordOp(rec)
 		for _, id := range evict {
 			e.st.RecordOpDelete(id)
 		}
@@ -827,6 +884,10 @@ func (e *Engine) finish(o *op, state State, errMsg string) {
 	e.m.ObserveInt("rbay_ops_queue_depth", depth)
 	e.node.Do(e.pump)
 }
+
+// running reports whether o is still being driven: started and not yet
+// decided. Engine.mu must be held.
+func (o *op) running() bool { return o.state == StateRunning && !o.finishing }
 
 // snapshot renders o for callers. Engine.mu must be held.
 func (o *op) snapshot() Op {

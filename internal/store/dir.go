@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 )
 
 // Dir abstracts the directory a Log persists into. Two implementations
@@ -111,9 +112,8 @@ func (d *OSDir) Remove(name string) error {
 // memFile is one in-memory file: the live content plus the watermark of
 // how much of it was durable as of the last sync (what survives a
 // crash). The watermark — rather than a full copy of the synced bytes —
-// makes Sync O(1), which matters now that group commit fsyncs on every
-// blocked append batch; it is sound because live content only ever
-// grows between WriteFile replacements.
+// makes Sync O(1); it is sound because live content only ever grows
+// between WriteFile replacements.
 type memFile struct {
 	live      []byte
 	syncedLen int
@@ -129,8 +129,48 @@ type memFile struct {
 // real renames of synced files survive crashes on journaling
 // filesystems). All methods are safe for concurrent use.
 type MemDir struct {
-	mu    sync.Mutex
-	files map[string]*memFile
+	mu     sync.Mutex
+	files  map[string]*memFile
+	faults Faults
+}
+
+// Faults are the device failures a MemDir injects until the next
+// SetFaults; the zero value injects none.
+type Faults struct {
+	// Write fails every File.Write with this error, storing nothing.
+	Write error
+	// Sync fails every File.Sync and WriteFile with this error; nothing
+	// becomes durable.
+	Sync error
+	// Short makes File.Write store the first half of its bytes and report
+	// that count with a nil error.
+	Short bool
+	// NoSpaceAfter, when positive, is how many more bytes File.Write and
+	// WriteFile may store; the write that crosses it stores what fits and
+	// fails with ENOSPC, as does every write after it.
+	NoSpaceAfter int
+}
+
+// SetFaults replaces the injected failures.
+func (d *MemDir) SetFaults(f Faults) {
+	d.mu.Lock()
+	d.faults = f
+	d.mu.Unlock()
+}
+
+// admit applies the space budget to a write of n bytes: it returns how
+// many may be stored and ENOSPC when that is fewer than n. d.mu is held.
+func (d *MemDir) admit(n int) (int, error) {
+	if d.faults.NoSpaceAfter == 0 {
+		return n, nil
+	}
+	if d.faults.NoSpaceAfter < 0 || n >= d.faults.NoSpaceAfter {
+		fit := max(d.faults.NoSpaceAfter, 0)
+		d.faults.NoSpaceAfter = -1 // full from now on
+		return fit, syscall.ENOSPC
+	}
+	d.faults.NoSpaceAfter -= n
+	return n, nil
 }
 
 // NewMemDir returns an empty in-memory disk.
@@ -153,6 +193,12 @@ func (d *MemDir) ReadFile(name string) ([]byte, bool, error) {
 func (d *MemDir) WriteFile(name string, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.faults.Sync != nil {
+		return d.faults.Sync
+	}
+	if _, err := d.admit(len(data)); err != nil {
+		return err
+	}
 	d.files[name] = &memFile{
 		live:       append([]byte(nil), data...),
 		syncedLen:  len(data),
@@ -214,6 +260,20 @@ func (d *MemDir) Bytes(name string) []byte {
 	return b
 }
 
+// CrashCopy returns a new MemDir holding what Crash would leave of this
+// one, which is untouched (test helper).
+func (d *MemDir) CrashCopy() *MemDir {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c := NewMemDir()
+	for name, f := range d.files {
+		if f.everSynced {
+			c.files[name] = &memFile{live: append([]byte(nil), f.live[:f.syncedLen]...), syncedLen: f.syncedLen, everSynced: true}
+		}
+	}
+	return c
+}
+
 // AppendSynced appends raw bytes to a file as if they had been written and
 // synced — the corrupt-tail tests use it to plant garbage that survives a
 // crash.
@@ -253,18 +313,29 @@ type memAppend struct {
 func (a *memAppend) Write(p []byte) (int, error) {
 	a.dir.mu.Lock()
 	defer a.dir.mu.Unlock()
+	if err := a.dir.faults.Write; err != nil {
+		return 0, err
+	}
+	if a.dir.faults.Short {
+		p = p[:len(p)/2]
+	}
+	n, err := a.dir.admit(len(p))
+	p = p[:n]
 	f, ok := a.dir.files[a.name]
 	if !ok {
 		f = &memFile{}
 		a.dir.files[a.name] = f
 	}
 	f.live = append(f.live, p...)
-	return len(p), nil
+	return len(p), err
 }
 
 func (a *memAppend) Sync() error {
 	a.dir.mu.Lock()
 	defer a.dir.mu.Unlock()
+	if err := a.dir.faults.Sync; err != nil {
+		return err
+	}
 	if f, ok := a.dir.files[a.name]; ok {
 		f.syncedLen = len(f.live)
 		f.everSynced = true

@@ -49,13 +49,23 @@ type OpCandidate struct {
 
 // RecordOp records an operation upsert: the full op record travels in
 // one frame, so a state transition plus its result (query ID,
-// candidates) lands atomically or not at all.
+// candidates) lands atomically or not at all. Unlike the node's Record*
+// methods it is durable on return when the policy asks for that (the
+// ops.Store contract), so it blocks on Sync and must not be called from a
+// node's event context; a failure is reported by Err.
 func (l *Log) RecordOp(op StoredOp) {
-	l.append(record{Kind: kindOpUpsert, OpRec: &op})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq := l.appendLocked(record{Kind: kindOpUpsert, OpRec: &op})
+	if l.syncDueLocked() {
+		_ = l.syncLocked(seq) // sticky: the caller reads it from Err
+	}
 }
 
 // RecordOpDelete records the retirement of a terminal op record
-// (retention pruning).
+// (retention pruning). Nothing waits on a retired record, so like the
+// node's Record* methods it only queues: the delete rides the next Sync,
+// and one lost to a crash leaves a terminal op that is retired again.
 func (l *Log) RecordOpDelete(id string) {
 	l.append(record{Kind: kindOpDelete, Query: id})
 }

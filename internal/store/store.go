@@ -6,8 +6,9 @@
 // reserve/commit/release transitions — and rebuilds the node's state by
 // replaying snapshot+WAL on restart (see docs/RECOVERY.md).
 //
-// Crash semantics: a record is durable once it has been fsynced, which
-// the SyncPolicy controls. A torn final record (the write the crash
+// Crash semantics: a record is durable once a Sync covering it has
+// returned; appending only queues it. The SyncPolicy says who waits for
+// that Sync, not who issues it. A torn final record (the write the crash
 // interrupted) is detected by its CRC or truncated frame and dropped;
 // every record before it survives. Compaction writes the full state as a
 // snapshot and truncates the WAL; records carry monotonic sequence
@@ -18,6 +19,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -36,25 +38,21 @@ const (
 	snapTmpName = "snap.tmp"
 )
 
-// SyncPolicy selects when appended records are fsynced.
+// SyncPolicy selects who waits for the Sync that makes a record durable.
+// Appending never touches the device under any policy.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: nothing acknowledged is ever
-	// lost, at one fsync per event.
+	// SyncAlways wants a Sync after every record (SyncDue) and makes
+	// RecordOp wait for it: nothing acknowledged is ever lost. Concurrent
+	// Syncs coalesce, so this is group commit.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval leaves fsync to a periodic timer (the node arms it from
-	// Log.SyncInterval); a crash loses at most one interval of events.
+	// SyncInterval leaves Sync to a periodic timer (the node arms it from
+	// Log.SyncInterval) and nobody waits; a crash loses at most one
+	// interval of events.
 	SyncInterval
-	// SyncNever leaves fsync entirely to explicit Sync calls and Close.
+	// SyncNever leaves Sync to explicit calls and Close; nobody waits.
 	SyncNever
-	// SyncGroup is group commit: concurrent appenders hand frames to a
-	// single writer goroutine that coalesces them into one buffered write
-	// plus one fsync per flush window. Each appender blocks until its
-	// frame's group is durable, so callers keep SyncAlways's
-	// durable-before-return contract while concurrent appends share the
-	// fsync cost.
-	SyncGroup
 )
 
 // String returns the policy's flag spelling.
@@ -66,26 +64,23 @@ func (p SyncPolicy) String() string {
 		return "interval"
 	case SyncNever:
 		return "never"
-	case SyncGroup:
-		return "group"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
 }
 
-// ParseSyncPolicy parses the -fsync flag spelling.
+// ParseSyncPolicy parses the -fsync flag spelling. "group" is a
+// deprecated alias of "always" (cmd/rbayd warns about it).
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
+	case "always", "group":
 		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
-	case "group":
-		return SyncGroup, nil
 	default:
-		return SyncAlways, fmt.Errorf("store: unknown fsync policy %q (want always, group, interval, or never)", s)
+		return SyncAlways, fmt.Errorf("store: unknown fsync policy %q (want always, interval, or never)", s)
 	}
 }
 
@@ -95,14 +90,9 @@ type Options struct {
 	Policy SyncPolicy
 	// Interval is the SyncInterval period. Default 2s.
 	Interval time.Duration
-	// CompactEvery is how many appended records trigger a
-	// snapshot+truncate compaction. Default 4096.
+	// CompactEvery is how many appended records make the next Sync follow
+	// its flush with a snapshot+truncate compaction. Default 4096.
 	CompactEvery int
-	// GroupWindow is how long the SyncGroup writer waits after the first
-	// frame of a group before flushing, letting concurrent appenders pile
-	// on. Default 500µs; negative flushes immediately (coalescing only
-	// what arrived while the previous flush was in progress).
-	GroupWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -111,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 4096
-	}
-	if o.GroupWindow == 0 {
-		o.GroupWindow = 500 * time.Microsecond
 	}
 	return o
 }
@@ -255,46 +242,37 @@ func (s *State) apply(r record) {
 	}
 }
 
-// flushThreshold bounds the pending-frame buffer for the non-blocking
-// policies (SyncInterval/SyncNever): once this many encoded bytes pile
-// up they are written (not fsynced) so the buffer cannot grow without
-// bound between timer syncs. Durability is unchanged — only fsync makes
-// bytes survive a crash.
+// flushThreshold is the pending-buffer size at which the policies nobody
+// waits on (SyncInterval/SyncNever) report SyncDue, so the buffer cannot
+// grow without bound between timer syncs.
 const flushThreshold = 256 << 10
 
-// group is one group-commit flush unit: every appender whose frame
-// entered the buffer while this group was open waits on done, and err
-// carries the store's sticky error state as of the flush.
-type group struct {
-	done chan struct{}
-	err  error
-}
-
 // Log is one node's durable store: WAL + snapshot over a Dir. It is safe
-// for concurrent use (rbayd syncs from a timer goroutine while the node's
-// event loop appends; under SyncGroup the gateway's HTTP goroutines and
-// the node event loop append concurrently).
+// for concurrent use: the node's event context appends, while its
+// flusher, the gateway's HTTP goroutines and shutdown call Sync.
+//
+// mu guards everything below it and is never held across a device call.
+// Device calls belong to the flush leader — the one goroutine that set
+// flushing — so appends keep queueing into pend while a write, an fsync
+// or a whole compaction is in progress.
 type Log struct {
-	mu   sync.Mutex
 	dir  Dir
 	opts Options
-	met  *metrics.Registry // nil-safe; set via SetMetrics
 
-	w        File
+	mu       sync.Mutex
+	flushed  *sync.Cond        // signalled when a flush completes or the leader steps down
+	met      *metrics.Registry // nil-safe; set via SetMetrics
 	state    State
-	buf      []byte // encoded frames accepted but not yet written to w
-	unsynced int    // records appended since the last sync
+	pend     []byte // encoded frames not yet handed to the device
+	pendN    int    // frames in pend
+	spare    []byte // the previous flush's buffer, reused at the next swap
+	durable  uint64 // highest sequence number a completed flush or snapshot covers
 	sinceCpt int    // records appended since the last compaction
+	flushing bool
 	closed   bool
 	firstErr error
 
-	// Group-commit state (SyncGroup only). grp is the currently open
-	// group; grpWake nudges the writer goroutine (capacity 1, lossy);
-	// grpQuit stops it on Close.
-	grp     *group
-	grpWake chan struct{}
-	grpQuit chan struct{}
-	grpDone sync.WaitGroup
+	w File // owned by the flush leader
 }
 
 // Stats reports a Log's write-path counters.
@@ -309,12 +287,12 @@ type Stats struct {
 // appending plus the recovered state. A missing directory content is an
 // empty store, not an error.
 func Open(dir Dir, opts Options) (*Log, State, error) {
-	opts = opts.withDefaults()
 	l := &Log{
 		dir:   dir,
-		opts:  opts,
+		opts:  opts.withDefaults(),
 		state: State{Attrs: make(map[string]StoredAttr)},
 	}
+	l.flushed = sync.NewCond(&l.mu)
 
 	if raw, ok, err := dir.ReadFile(SnapName); err != nil {
 		return nil, State{}, fmt.Errorf("store: read snapshot: %w", err)
@@ -335,8 +313,9 @@ func Open(dir Dir, opts Options) (*Log, State, error) {
 		}
 		for _, r := range recs {
 			if r.Seq <= l.state.Seq && r.Seq != 0 {
-				// Already folded into the snapshot (crash landed between the
-				// snapshot rename and the WAL truncation).
+				// Already folded into the snapshot: the frame was written
+				// after the snapshot that covers it, or the crash landed
+				// between the snapshot rename and the WAL truncation.
 				continue
 			}
 			l.state.apply(r)
@@ -355,12 +334,7 @@ func Open(dir Dir, opts Options) (*Log, State, error) {
 		return nil, State{}, fmt.Errorf("store: open wal: %w", err)
 	}
 	l.w = w
-	if l.opts.Policy == SyncGroup {
-		l.grpWake = make(chan struct{}, 1)
-		l.grpQuit = make(chan struct{})
-		l.grpDone.Add(1)
-		go l.groupLoop()
-	}
+	l.durable = l.state.Seq
 	return l, l.state.clone(), nil
 }
 
@@ -376,121 +350,33 @@ func (l *Log) SetMetrics(reg *metrics.Registry) {
 	l.mu.Unlock()
 }
 
-// append accepts one record, applying the sync and compaction policies.
-// The sequence number, state fold, and buffer position are all assigned
-// under one critical section, so buffer order is sequence order no
-// matter how many goroutines append. Append errors are sticky: the
-// first one is kept and surfaced by Sync/Close/Err so the node can
-// report a dying disk.
+// append queues one record: the sequence number, the state fold and the
+// position in the pending buffer are assigned in one critical section, so
+// buffer order is sequence order no matter how many goroutines append. It
+// never touches the device; Sync is the barrier that does. A failed or
+// closed Log drops the record.
 func (l *Log) append(r record) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
+	l.appendLocked(r)
+	l.mu.Unlock()
+}
+
+// appendLocked returns the record's sequence number, 0 if it was dropped.
+func (l *Log) appendLocked(r record) uint64 {
+	if l.closed || l.firstErr != nil {
+		return 0
 	}
 	l.state.Seq++
 	r.Seq = l.state.Seq
 	l.state.apply(r)
 	var err error
-	if l.buf, err = appendRecord(l.buf, r); err != nil {
-		l.noteErr(err)
-		l.mu.Unlock()
-		return
-	}
-	l.unsynced++
-	l.sinceCpt++
-	switch l.opts.Policy {
-	case SyncAlways:
-		l.syncLocked()
-		l.maybeCompactLocked()
-		l.mu.Unlock()
-	case SyncGroup:
-		// Join (or open) the current flush group, then release the lock
-		// BEFORE waiting so other appenders can pile into the group and
-		// the writer goroutine can take the lock to flush it.
-		g := l.joinGroupLocked()
-		l.maybeCompactLocked()
-		l.mu.Unlock()
-		<-g.done
-	default:
-		if len(l.buf) >= flushThreshold {
-			l.writeBufLocked()
-		}
-		l.maybeCompactLocked()
-		l.mu.Unlock()
-	}
-}
-
-func (l *Log) maybeCompactLocked() {
-	if l.sinceCpt >= l.opts.CompactEvery {
-		l.compactLocked()
-	}
-}
-
-// joinGroupLocked returns the open flush group, creating it (and waking
-// the writer goroutine) when this frame is the group's first.
-func (l *Log) joinGroupLocked() *group {
-	if l.grp == nil {
-		l.grp = &group{done: make(chan struct{})}
-		select {
-		case l.grpWake <- struct{}{}:
-		default:
-		}
-	}
-	return l.grp
-}
-
-// finishGroupLocked completes the open group, if any: waiters observe
-// the store's sticky error as their append outcome.
-func (l *Log) finishGroupLocked() {
-	if l.grp == nil {
-		return
-	}
-	l.grp.err = l.firstErr
-	close(l.grp.done)
-	l.grp = nil
-}
-
-// groupLoop is the SyncGroup writer goroutine: woken by a group's first
-// appender, it waits out the flush window so concurrent appenders can
-// join, then flushes the whole group with one write and one fsync.
-func (l *Log) groupLoop() {
-	defer l.grpDone.Done()
-	for {
-		select {
-		case <-l.grpQuit:
-			return
-		case <-l.grpWake:
-		}
-		if w := l.opts.GroupWindow; w > 0 {
-			time.Sleep(w)
-		}
-		l.mu.Lock()
-		l.syncLocked()
-		l.mu.Unlock()
-	}
-}
-
-// writeBufLocked hands the pending frame buffer to the WAL file handle
-// (write, not fsync) and resets it.
-func (l *Log) writeBufLocked() {
-	if len(l.buf) == 0 || l.w == nil {
-		return
-	}
-	n := len(l.buf)
-	_, err := l.w.Write(l.buf)
-	l.buf = l.buf[:0]
-	if err != nil {
-		l.noteErr(err)
-		return
-	}
-	l.met.Add("rbay_wal_bytes_total", uint64(n))
-}
-
-func (l *Log) noteErr(err error) {
-	if l.firstErr == nil {
+	if l.pend, err = appendRecord(l.pend, r); err != nil {
 		l.firstErr = err
+		return 0
 	}
+	l.pendN++
+	l.sinceCpt++
+	return r.Seq
 }
 
 // RecordSet records an attribute post/update.
@@ -535,33 +421,106 @@ func (l *Log) RecordRelease(queryID string) {
 	l.append(record{Kind: kindRelease, Query: queryID})
 }
 
-// Sync makes every appended record durable and returns the first write
-// error seen so far.
+// SyncDue reports whether the policy wants a Sync now: under SyncAlways
+// whenever an appended record is not yet durable, otherwise only once the
+// pending buffer has outgrown flushThreshold. The appender asks after
+// each record and arranges the Sync off its own critical path.
+func (l *Log) SyncDue() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncDueLocked()
+}
+
+func (l *Log) syncDueLocked() bool {
+	if l.closed || l.firstErr != nil {
+		return false
+	}
+	if l.opts.Policy == SyncAlways {
+		return l.durable < l.state.Seq
+	}
+	return len(l.pend) >= flushThreshold
+}
+
+// Sync is the one durability barrier: it returns once every record
+// appended before the call is written and fsynced, or with the error that
+// prevented it. It may be called from any goroutine. Callers that arrive
+// while a flush is in flight wait for it and then share the next one —
+// one of them leads it, the rest follow — so N concurrent Syncs cost about
+// one fsync. An error is sticky: the failed flush and every later Sync
+// return it, and nothing more is written.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.syncLocked()
+	return l.syncLocked(l.state.Seq)
+}
+
+// syncLocked returns once the record with sequence number target is
+// durable. l.mu is held on entry and on return, not in between.
+func (l *Log) syncLocked(target uint64) error {
+	for l.firstErr == nil && l.durable < target {
+		if l.flushing {
+			l.flushed.Wait()
+			continue
+		}
+		l.flushing = true
+		l.flushLocked()
+		if l.firstErr == nil && l.sinceCpt >= l.opts.CompactEvery {
+			l.compactLocked()
+		}
+		l.stepDownLocked()
+	}
 	return l.firstErr
 }
 
-// syncLocked flushes the pending buffer and fsyncs in one shot — the
-// group-commit flush unit — then completes the open group so blocked
-// appenders return. One call, one fsync, however many frames piled up.
-func (l *Log) syncLocked() {
-	l.writeBufLocked()
-	if l.unsynced > 0 && l.w != nil && l.firstErr == nil {
-		frames := l.unsynced
-		start := time.Now()
-		if err := l.w.Sync(); err != nil {
-			l.noteErr(err)
-		} else {
-			l.unsynced = 0
-			l.met.Inc("rbay_wal_fsync_total")
-			l.met.ObserveInt("rbay_wal_group_size", frames)
-			l.met.Observe("rbay_wal_flush_seconds", time.Since(start))
-		}
+// leadLocked makes the caller the flush leader, waiting out any flush in
+// flight. l.mu is held.
+func (l *Log) leadLocked() {
+	for l.flushing {
+		l.flushed.Wait()
 	}
-	l.finishGroupLocked()
+	l.flushing = true
+}
+
+func (l *Log) stepDownLocked() {
+	l.flushing = false
+	l.flushed.Broadcast()
+}
+
+// flushLocked swaps the pending buffer out and, with l.mu released,
+// writes and fsyncs it in one shot — one call, one fsync, however many
+// frames piled up. The caller is the flush leader; l.mu is held on entry
+// and on return.
+func (l *Log) flushLocked() {
+	if l.pendN == 0 || l.firstErr != nil {
+		return
+	}
+	buf, frames, upto, met := l.pend, l.pendN, l.state.Seq, l.met
+	l.pend, l.pendN = l.spare[:0], 0
+	l.mu.Unlock()
+	start := time.Now()
+	n, err := l.w.Write(buf)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		err = l.w.Sync()
+	}
+	if err == nil {
+		met.Add("rbay_wal_bytes_total", uint64(n))
+		met.Inc("rbay_wal_fsync_total")
+		met.ObserveInt("rbay_wal_group_size", frames)
+		met.Observe("rbay_wal_flush_seconds", time.Since(start))
+	}
+	l.mu.Lock()
+	l.spare = buf[:0]
+	if err != nil {
+		l.firstErr = err
+	} else {
+		l.durable = upto
+	}
+	// Followers this flush covers return now, even if the leader goes on
+	// to compact.
+	l.flushed.Broadcast()
 }
 
 // SyncInterval returns the period the owner should call Sync at, or 0
@@ -573,52 +532,62 @@ func (l *Log) SyncInterval() time.Duration {
 	return 0
 }
 
-// Compact snapshots the current state and truncates the WAL.
+// Compact flushes, snapshots the current state and truncates the WAL.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.compactLocked()
+	l.leadLocked()
+	if !l.closed {
+		l.flushLocked()
+		if l.firstErr == nil {
+			l.compactLocked()
+		}
+	}
+	l.stepDownLocked()
 	return l.firstErr
 }
 
-// compactLocked writes the snapshot durably, renames it into place, then
-// truncates the WAL. Crash ordering: the snapshot carries the last
-// applied sequence number, so replaying a stale WAL over a fresh snapshot
-// skips everything the snapshot already holds.
+// compactLocked writes a snapshot of the live state durably, renames it
+// into place, then truncates the WAL, all with l.mu released: appends keep
+// queueing, and since the caller is the flush leader none of them reaches
+// the WAL file meanwhile. Crash ordering: the snapshot's sequence number
+// is at least that of every frame in the file being truncated, and frames
+// at or below it that are still pending are skipped on replay once they
+// are written.
 func (l *Log) compactLocked() {
-	l.syncLocked()
-	if l.firstErr != nil {
-		return
-	}
-	raw, err := encodeSnapshot(l.state)
+	snap := l.state.clone()
+	l.sinceCpt = 0
+	l.mu.Unlock()
+	err := l.writeSnapshot(snap)
+	l.mu.Lock()
 	if err != nil {
-		l.noteErr(err)
-		return
+		l.firstErr = err
+	} else if snap.Seq > l.durable {
+		l.durable = snap.Seq
+	}
+}
+
+func (l *Log) writeSnapshot(snap State) error {
+	raw, err := encodeSnapshot(snap)
+	if err != nil {
+		return err
 	}
 	if err := l.dir.WriteFile(snapTmpName, raw); err != nil {
-		l.noteErr(err)
-		return
+		return err
 	}
 	if err := l.dir.Rename(snapTmpName, SnapName); err != nil {
-		l.noteErr(err)
-		return
+		return err
 	}
-	if l.w != nil {
-		l.w.Close()
-		l.w = nil
-	}
+	l.w.Close()
 	if err := l.dir.WriteFile(WALName, nil); err != nil {
-		l.noteErr(err)
-		return
+		return err
 	}
 	w, err := l.dir.OpenAppend(WALName)
 	if err != nil {
-		l.noteErr(err)
-		return
+		return err
 	}
 	l.w = w
-	l.unsynced = 0
-	l.sinceCpt = 0
+	return nil
 }
 
 // State returns a copy of the live (not necessarily synced) state.
@@ -639,31 +608,23 @@ func (l *Log) Err() error {
 func (l *Log) LogStats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{Seq: l.state.Seq, Unsynced: l.unsynced, FirstErr: l.firstErr}
+	return Stats{Seq: l.state.Seq, Unsynced: int(l.state.Seq - l.durable), FirstErr: l.firstErr}
 }
 
-// Close syncs and closes the WAL handle. Further records are dropped.
+// Close flushes what is pending and closes the WAL handle. Further
+// records are dropped.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		err := l.firstErr
-		l.mu.Unlock()
-		return err
+		return l.firstErr
 	}
 	l.closed = true
-	l.syncLocked()
-	if l.w != nil {
-		if err := l.w.Close(); err != nil {
-			l.noteErr(err)
-		}
-		l.w = nil
+	l.leadLocked()
+	l.flushLocked()
+	if err := l.w.Close(); err != nil && l.firstErr == nil {
+		l.firstErr = err
 	}
-	quit := l.grpQuit
-	err := l.firstErr
-	l.mu.Unlock()
-	if quit != nil {
-		close(quit)
-		l.grpDone.Wait()
-	}
-	return err
+	l.stepDownLocked()
+	return l.firstErr
 }

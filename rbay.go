@@ -135,7 +135,7 @@ type (
 	// StoreState is the recovered state OpenStore returns, fed to
 	// Node.Restore before the node rejoins the overlay.
 	StoreState = store.State
-	// SyncPolicy selects when the write-ahead log fsyncs.
+	// SyncPolicy selects who waits for the write-ahead log's fsync.
 	SyncPolicy = store.SyncPolicy
 )
 
@@ -144,23 +144,11 @@ const (
 	SyncAlways   = store.SyncAlways
 	SyncInterval = store.SyncInterval
 	SyncNever    = store.SyncNever
-	SyncGroup    = store.SyncGroup
 )
 
-// ParseSyncPolicy parses the -fsync flag spelling: "always", "group",
-// "interval", or "never".
+// ParseSyncPolicy parses the -fsync flag spelling: "always", "interval",
+// or "never" ("group" is a deprecated alias of "always").
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return store.ParseSyncPolicy(s) }
-
-// StoreOptions tunes OpenStore beyond the fsync policy.
-type StoreOptions struct {
-	// Interval is the SyncInterval period (0 means the store default).
-	Interval time.Duration
-	// GroupWindow is the SyncGroup flush window — how long the WAL
-	// writer waits for concurrent appends to pile onto a group before
-	// the shared fsync (0 means the store default, negative flushes
-	// immediately).
-	GroupWindow time.Duration
-}
 
 // OpenStore opens (creating as needed) the snapshot+WAL store under dir
 // and replays it. Wire the returned Store into NodeConfig.Store, feed the
@@ -170,20 +158,11 @@ type StoreOptions struct {
 // and every record before it recovered. interval only applies under
 // SyncInterval (0 means the store default).
 func OpenStore(dir string, policy SyncPolicy, interval time.Duration) (Store, StoreState, error) {
-	return OpenStoreOptions(dir, policy, StoreOptions{Interval: interval})
-}
-
-// OpenStoreOptions is OpenStore with the full option set.
-func OpenStoreOptions(dir string, policy SyncPolicy, opts StoreOptions) (Store, StoreState, error) {
 	d, err := store.OpenOSDir(dir)
 	if err != nil {
 		return nil, StoreState{}, err
 	}
-	l, state, err := store.Open(d, store.Options{
-		Policy:      policy,
-		Interval:    opts.Interval,
-		GroupWindow: opts.GroupWindow,
-	})
+	l, state, err := store.Open(d, store.Options{Policy: policy, Interval: interval})
 	if err != nil {
 		return nil, StoreState{}, err
 	}

@@ -80,15 +80,14 @@ func BenchmarkWALAppendBinary(b *testing.B) {
 }
 
 // BenchmarkWALGroupCommit: N goroutines append concurrently under
-// -fsync=group; each op is one durably-acked RecordSet. fsyncs/op < 1
-// means the writer coalesced multiple appenders' frames into one flush.
+// -fsync=always; each op is one RecordSet made durable by Sync. fsyncs/op
+// < 1 means concurrent Syncs shared a flush.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, appenders := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("appenders-%d", appenders), func(b *testing.B) {
 			reg := metrics.NewRegistry()
 			l, _, err := store.Open(store.NewMemDir(), store.Options{
-				Policy:       store.SyncGroup,
-				GroupWindow:  50 * time.Microsecond,
+				Policy:       store.SyncAlways,
 				CompactEvery: 1 << 30,
 			})
 			if err != nil {
@@ -113,6 +112,10 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 					name := fmt.Sprintf("load%d", g)
 					for i := 0; i < n; i++ {
 						l.RecordSet(name, float64(i))
+						if err := l.Sync(); err != nil {
+							b.Error(err)
+							return
+						}
 					}
 				}(g, n)
 			}
