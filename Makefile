@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build bench-vet test race race-handoff bench bench-durable bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
-ci: fmt-check vet build bench-vet race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
+ci: fmt-check vet build bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,12 @@ build:
 bench-vet:
 	cd bench && GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
 
+# The benchmark module's own smoke test (a short run of every workload and
+# the metric-name check against BENCHMARK.json, a few seconds): vet proves
+# it compiles against the root packages, this proves it still runs on them.
+bench-test:
+	cd bench && GOFLAGS=-buildvcs=false GOPROXY=off $(GO) test -count=1 ./...
+
 test:
 	$(GO) test ./...
 
@@ -31,11 +37,12 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The durable-write pipeline's tests hand work between the event context,
-# the flusher, HTTP goroutines and the flush leader; one pass under -race
-# proves little about a hand-off, so they get three more.
+# the flusher, HTTP goroutines and the flush leader, and the TCP node's
+# Close comes from outside its event loop; one pass under -race proves
+# little about a hand-off, so they get three more.
 race-handoff:
-	$(GO) test -race -count=3 -run 'TestSyncCoalesces|TestCrashOnFlushBoundary|TestCompactionRidesSync|TestNoDurabilityClaimAfterDeviceFault|TestNoAckWithoutDurableFrame|TestFailedVisitIsNotForwarded|TestOutputsWaitForSync|TestDeviceCallsStayOffTheEventContext|TestTerminalStateWaitsForItsRecord|TestSubmitRejectsUnrecordedOp' \
-		./internal/store ./internal/core ./internal/ops
+	$(GO) test -race -count=3 -run 'TestSyncCoalesces|TestCrashOnFlushBoundary|TestCompactionRidesSync|TestNoDurabilityClaimAfterDeviceFault|TestNoAckWithoutDurableFrame|TestFailedVisitIsNotForwarded|TestOutputsWaitForSync|TestDeviceCallsStayOffTheEventContext|TestTerminalStateWaitsForItsRecord|TestSubmitRejectsUnrecordedOp|TestTCPNodeCloseWhileReceiving' \
+		./internal/store ./internal/core ./internal/ops .
 
 # Seeded fault-injection campaign against the simulated federation; see
 # docs/TESTING.md. Override with e.g. `make chaos CHAOS_SEED=7`. Add

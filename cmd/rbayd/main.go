@@ -15,7 +15,7 @@
 //
 // With -data-dir, nothing the node acknowledges precedes its fsync, and a
 // failed write or fsync stops the daemon with a non-zero exit
-// (docs/RECOVERY.md). -fsync group is a deprecated spelling of always.
+// (docs/RECOVERY.md).
 package main
 
 import (
@@ -122,9 +122,6 @@ func run(args []string) error {
 		policy, err := rbay.ParseSyncPolicy(*fsyncFlag)
 		if err != nil {
 			return err
-		}
-		if *fsyncFlag == "group" {
-			fmt.Fprintln(os.Stderr, "rbayd: -fsync group is deprecated: always now coalesces concurrent fsyncs; using always")
 		}
 		st, state, err := rbay.OpenStore(*dataDir, policy, *fsyncInterval)
 		if err != nil {

@@ -73,7 +73,7 @@ func runChaos(args []string) error {
 		fmt.Println(line)
 	}
 	fmt.Println()
-	fmt.Print(res.Counters.Render())
+	fmt.Print(res.Counters.Snapshot().CounterTable())
 	if *dumpMetrics {
 		fmt.Println()
 		fmt.Print(res.Metrics.Summary())

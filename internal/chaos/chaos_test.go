@@ -70,7 +70,7 @@ func TestSmokeScenarios(t *testing.T) {
 			for _, v := range res.Violations {
 				t.Error(v)
 			}
-			if res.Counters.Get("checks.routing") == 0 {
+			if res.Counters.Counter("checks.routing") == 0 {
 				t.Error("quiescent checks never ran")
 			}
 		})
@@ -181,7 +181,7 @@ func TestCrashSafetyFloors(t *testing.T) {
 	if liveRouters < 1 {
 		t.Fatal("virginia left with no live boundary router")
 	}
-	if res.Counters.Get("faults.skipped") == 0 {
+	if res.Counters.Counter("faults.skipped") == 0 {
 		t.Error("over-aggressive schedule recorded no skips")
 	}
 	for _, v := range res.Violations {
@@ -230,14 +230,14 @@ func TestFederationStaysQueryableUnderChaos(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Error(v)
 	}
-	if got := res.Counters.Get("queries.issued"); got != 12 {
+	if got := res.Counters.Counter("queries.issued"); got != 12 {
 		t.Errorf("queries.issued = %d, want 12", got)
 	}
-	if got := res.Counters.Get("queries.nonempty"); got < 8 {
+	if got := res.Counters.Counter("queries.nonempty"); got < 8 {
 		t.Errorf("only %d/12 queries found anything", got)
 	}
-	if res.Counters.Get("faults.crash") != 5 {
-		t.Errorf("faults.crash = %d, want 5", res.Counters.Get("faults.crash"))
+	if res.Counters.Counter("faults.crash") != 5 {
+		t.Errorf("faults.crash = %d, want 5", res.Counters.Counter("faults.crash"))
 	}
 }
 
@@ -255,11 +255,11 @@ func TestHarnessCountersEmitted(t *testing.T) {
 		"checks.trees", "checks.aggregates", "checks.allocation", "checks.queryable",
 		"net.sent", "net.delivered",
 	} {
-		if res.Counters.Get(name) == 0 {
+		if res.Counters.Counter(name) == 0 {
 			t.Errorf("counter %s = 0, want > 0", name)
 		}
 	}
-	if render := res.Counters.Render(); !strings.Contains(render, "faults.crash") {
-		t.Error("Render() does not list the fault counters")
+	if render := res.Counters.Snapshot().CounterTable(); !strings.Contains(render, "faults.crash") {
+		t.Error("CounterTable() does not list the fault counters")
 	}
 }

@@ -48,10 +48,10 @@ func TestDurableRestartSmoke(t *testing.T) {
 			for _, v := range res.Violations {
 				t.Error(v)
 			}
-			if got := res.Counters.Get("faults.restart"); got != 2 {
+			if got := res.Counters.Counter("faults.restart"); got != 2 {
 				t.Errorf("faults.restart = %d, want 2", got)
 			}
-			if res.Counters.Get("checks.durability") == 0 {
+			if res.Counters.Counter("checks.durability") == 0 {
 				t.Error("durability invariant never ran")
 			}
 		})

@@ -80,9 +80,7 @@ func RunGatewayCrash(seed int64) (*GatewayResult, error) {
 	}
 	gw := elig[rng.Intn(len(elig))]
 	key := gw.Addr().String()
-	cfg := gatewayOpsConfig()
-	cfg.Now = gw.Now
-	eng := ops.NewEngine(gw, h.logs[key], cfg)
+	eng := ops.NewEngine(gw, h.logs[key], gatewayOpsConfig())
 
 	// Seeded workload: reserve ops, each chased by a commit bound to it
 	// via FromOp, with random slices of virtual time in between so the
@@ -127,9 +125,7 @@ func RunGatewayCrash(seed int64) (*GatewayResult, error) {
 		return nil, fmt.Errorf("chaos: gateway %s not revived", key)
 	}
 	h.net.RunFor(3 * time.Second)
-	cfg2 := gatewayOpsConfig()
-	cfg2.Now = n2.Now
-	eng2 := ops.NewEngine(n2, h.logs[key], cfg2)
+	eng2 := ops.NewEngine(n2, h.logs[key], gatewayOpsConfig())
 	requeued := eng2.Restore(h.restoredState[key].Ops)
 	h.logf("gateway restore requeued=%d", requeued)
 

@@ -144,7 +144,7 @@ func (v Violation) String() string {
 type Result struct {
 	Scenario   Scenario
 	Violations []Violation
-	Counters   *metrics.CounterSet
+	Counters   *metrics.Registry
 	// Metrics merges every surviving node's metric registry (query rounds,
 	// anycast visits, reservation releases, …) at quiescence. Virtual time
 	// makes the values a pure function of the seed.
@@ -184,7 +184,7 @@ type Harness struct {
 	// rebuilt ops engine the way cmd/rbayd does on boot.
 	restoredState map[string]store.State
 
-	counters   *metrics.CounterSet
+	counters   *metrics.Registry
 	violations []Violation
 	logLines   []string
 	trace      []string
@@ -220,7 +220,7 @@ func New(scn Scenario, opts Options) (*Harness, error) {
 		durableBase:   make(map[string]map[string]any),
 		leased:        make(map[string]string),
 		restoredState: make(map[string]store.State),
-		counters:      metrics.NewCounterSet(),
+		counters:      metrics.NewRegistry(),
 		probeGot:      make(map[uint64]ids.ID),
 	}
 	fedCfg := core.FedConfig{

@@ -41,13 +41,13 @@ func TestRootCrashReplicaPromotes(t *testing.T) {
 	for _, v := range res.Violations {
 		t.Error(v)
 	}
-	if got := res.Counters.Get("faults.crashroot"); got == 0 {
+	if got := res.Counters.Counter("faults.crashroot"); got == 0 {
 		t.Error("no root was crashed (both CrashRoot steps skipped)")
 	}
-	if got := res.Counters.Get("checks.continuity"); got == 0 {
+	if got := res.Counters.Counter("checks.continuity"); got == 0 {
 		t.Error("aggregate-continuity watch never armed")
 	}
-	if got := res.Counters.Get("checks.replicas"); got == 0 {
+	if got := res.Counters.Counter("checks.replicas"); got == 0 {
 		t.Error("replica-consistency checker never ran")
 	}
 	if got := res.Metrics.Counters["scribe_root_promotions_total"]; got == 0 {

@@ -467,8 +467,9 @@ func (n *Node) SetDeliverHook(h func(attrName string, sentAt time.Time)) { n.del
 func (n *Node) Directory() Directory { return n.dir }
 
 // Close detaches the node abruptly — the crash path: the transport drops
-// and any durable store keeps only what was already synced. Graceful exit
-// is Shutdown (see durable.go).
+// and any durable store keeps only what was already synced. Like Do and
+// IngestEnqueue it is safe from any goroutine. Graceful exit is Shutdown
+// (see durable.go).
 func (n *Node) Close() error { return n.p.Close() }
 
 // ---------------------------------------------------------------------------

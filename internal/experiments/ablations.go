@@ -292,7 +292,7 @@ func churnAt(sc Scale, lvl ChurnLevel) (*ChurnPoint, error) {
 	}
 
 	// Queries against the churning utilization tree.
-	lat := metrics.NewRecorder()
+	var lat metrics.Dist[time.Duration]
 	q := query.MustParse(`SELECT 3 FROM * WHERE CPU_utilization < 50%;`)
 	for i := 0; i < sc.QueriesPerCell; i++ {
 		n := fed.Nodes[(i*13+2)%len(fed.Nodes)]

@@ -16,8 +16,8 @@ import (
 // with admin-command dissemination latency (onDeliver).
 type Fig11Result struct {
 	Sites     []string
-	Subscribe map[string]*metrics.Recorder
-	Deliver   map[string]*metrics.Recorder
+	Subscribe map[string]*metrics.Dist[time.Duration]
+	Deliver   map[string]*metrics.Dist[time.Duration]
 }
 
 // Fig11 reproduces the overhead analysis: within every site, measure how
@@ -45,12 +45,12 @@ func Fig11(sc Scale) (*Fig11Result, error) {
 
 	res := &Fig11Result{
 		Sites:     append([]string(nil), sites.EC2...),
-		Subscribe: make(map[string]*metrics.Recorder),
-		Deliver:   make(map[string]*metrics.Recorder),
+		Subscribe: make(map[string]*metrics.Dist[time.Duration]),
+		Deliver:   make(map[string]*metrics.Dist[time.Duration]),
 	}
 	for _, s := range res.Sites {
-		res.Subscribe[s] = metrics.NewRecorder()
-		res.Deliver[s] = metrics.NewRecorder()
+		res.Subscribe[s] = new(metrics.Dist[time.Duration])
+		res.Deliver[s] = new(metrics.Dist[time.Duration])
 	}
 
 	// (a) onSubscribe: trigger membership everywhere at t0 and record each

@@ -55,10 +55,10 @@ func Fig8a(sc Scale) (*Fig8aResult, error) {
 
 // traceApp records delivered traces for the microbenchmarks.
 type traceApp struct {
-	hops *metrics.IntDist
+	hops metrics.Dist[float64]
 }
 
-func (a *traceApp) Deliver(n *pastry.Node, m *pastry.Message) { a.hops.Add(m.Hops) }
+func (a *traceApp) Deliver(n *pastry.Node, m *pastry.Message) { a.hops.Add(float64(m.Hops)) }
 func (a *traceApp) Forward(*pastry.Node, *pastry.Message, pastry.Entry) bool {
 	return true
 }
@@ -77,7 +77,7 @@ func hopsAtScale(n, queries, keyCount int, seed int64, perNode map[string]uint64
 	if err != nil {
 		return 0, 0, err
 	}
-	app := &traceApp{hops: metrics.NewIntDist()}
+	app := &traceApp{}
 	for _, node := range nodes {
 		node.Register("bench", app)
 	}
@@ -95,7 +95,7 @@ func hopsAtScale(n, queries, keyCount int, seed int64, perNode map[string]uint64
 			perNode[node.ID().String()] = node.Stats().Forwarded
 		}
 	}
-	return app.hops.Mean(), app.hops.Max(), nil
+	return app.hops.Mean(), int(app.hops.Max()), nil
 }
 
 // Render prints the Fig. 8a series.
@@ -192,7 +192,7 @@ func hopsAtScaleSingleKey(n, queries, key int, seed int64, perNode map[string]ui
 	if err != nil {
 		return 0, 0, err
 	}
-	app := &traceApp{hops: metrics.NewIntDist()}
+	app := &traceApp{}
 	for _, node := range nodes {
 		node.Register("bench", app)
 	}
@@ -208,7 +208,7 @@ func hopsAtScaleSingleKey(n, queries, key int, seed int64, perNode map[string]ui
 	for _, node := range nodes {
 		perNode[node.ID().String()] = node.Stats().Forwarded
 	}
-	return app.hops.Mean(), app.hops.Max(), nil
+	return app.hops.Mean(), int(app.hops.Max()), nil
 }
 
 // Render prints the Fig. 8b summary.

@@ -17,7 +17,7 @@ type MacroResult struct {
 	Scale   Scale
 	Origins []string
 	// Latency[origin][numSites] (numSites 1..8; index 0 unused).
-	Latency map[string][]*metrics.Recorder
+	Latency map[string][]*metrics.Dist[time.Duration]
 	// Shortfalls counts queries that could not fill k.
 	Shortfalls int
 	// Queries is the total number of composite queries issued.
@@ -35,12 +35,12 @@ func RunMacro(sc Scale) (*MacroResult, error) {
 	res := &MacroResult{
 		Scale:   sc,
 		Origins: append([]string(nil), sites.EC2...),
-		Latency: make(map[string][]*metrics.Recorder),
+		Latency: make(map[string][]*metrics.Dist[time.Duration]),
 	}
 	for _, o := range res.Origins {
-		res.Latency[o] = make([]*metrics.Recorder, len(sites.EC2)+1)
+		res.Latency[o] = make([]*metrics.Dist[time.Duration], len(sites.EC2)+1)
 		for i := 1; i <= len(sites.EC2); i++ {
-			res.Latency[o][i] = metrics.NewRecorder()
+			res.Latency[o][i] = new(metrics.Dist[time.Duration])
 		}
 	}
 

@@ -1,189 +1,35 @@
-// Package metrics provides the latency recorders, CDFs, and distribution
-// summaries the evaluation harness uses to regenerate the paper's figures.
+// Package metrics provides the exact-sample distributions and tables the
+// evaluation harness regenerates the paper's figures with, and the
+// counter/histogram Registry behind every node's /metrics.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Recorder accumulates duration samples. All methods are safe for
-// concurrent use: experiment and benchmark harnesses feed one recorder
-// from many goroutines.
-type Recorder struct {
+// number is the sample types a Dist holds: counts (hops, per-node loads)
+// and time.Duration latencies.
+type number interface {
+	~int | ~int64 | ~float64
+}
+
+// Dist keeps every sample it is given, so the evaluation harness reads
+// exact percentiles and CDFs from it (a Histogram only has buckets). The
+// zero value is empty and ready to use. All methods are safe for
+// concurrent use: experiment and benchmark harnesses feed one Dist from
+// many goroutines.
+type Dist[T number] struct {
 	mu      sync.Mutex
-	samples []time.Duration
+	samples []T
 	sorted  bool
 }
 
-// NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
 // Add appends a sample.
-func (r *Recorder) Add(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = append(r.samples, d)
-	r.sorted = false
-}
-
-// Count returns the number of samples.
-func (r *Recorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Mean returns the average sample, 0 when empty.
-func (r *Recorder) Mean() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mean()
-}
-
-func (r *Recorder) mean() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range r.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(r.samples))
-}
-
-// Std returns the population standard deviation.
-func (r *Recorder) Std() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.std()
-}
-
-func (r *Recorder) std() time.Duration {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(r.mean())
-	var ss float64
-	for _, d := range r.samples {
-		diff := float64(d) - mean
-		ss += diff * diff
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
-}
-
-// ensureSorted must be called with mu held.
-func (r *Recorder) ensureSorted() {
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-}
-
-// Min returns the smallest sample, 0 when empty.
-func (r *Recorder) Min() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	return r.samples[0]
-}
-
-// Max returns the largest sample, 0 when empty.
-func (r *Recorder) Max() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	return r.samples[len(r.samples)-1]
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using
-// nearest-rank.
-func (r *Recorder) Percentile(p float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.percentile(p)
-}
-
-func (r *Recorder) percentile(p float64) time.Duration {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	if p <= 0 {
-		return r.samples[0]
-	}
-	if p >= 100 {
-		return r.samples[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return r.samples[rank-1]
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X time.Duration
-	P float64 // cumulative probability in (0,1]
-}
-
-// CDF returns up to points evenly spaced points of the empirical CDF (the
-// paper's Fig. 9 plots).
-func (r *Recorder) CDF(points int) []CDFPoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.samples)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	r.ensureSorted()
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := i*n/points - 1
-		out = append(out, CDFPoint{X: r.samples[idx], P: float64(idx+1) / float64(n)})
-	}
-	return out
-}
-
-// Summary renders "mean ± std (p50 median, p99 tail, n samples)".
-func (r *Recorder) Summary() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("%v ±%v (p50 %v, p99 %v, n=%d)",
-		r.mean().Round(time.Millisecond), r.std().Round(time.Millisecond),
-		r.percentile(50).Round(time.Millisecond), r.percentile(99).Round(time.Millisecond),
-		len(r.samples))
-}
-
-// IntDist summarizes integer samples (hop counts, per-node loads). All
-// methods are safe for concurrent use.
-type IntDist struct {
-	mu      sync.Mutex
-	samples []int
-	sorted  bool
-}
-
-// NewIntDist creates an empty distribution.
-func NewIntDist() *IntDist { return &IntDist{} }
-
-// Add appends a sample.
-func (d *IntDist) Add(v int) {
+func (d *Dist[T]) Add(v T) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.samples = append(d.samples, v)
@@ -191,24 +37,26 @@ func (d *IntDist) Add(v int) {
 }
 
 // Count returns the number of samples.
-func (d *IntDist) Count() int {
+func (d *Dist[T]) Count() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.samples)
 }
 
-// Mean returns the sample mean.
-func (d *IntDist) Mean() float64 {
+// Mean returns the average sample, 0 when empty. Like Std it is computed
+// in float64 and converted to T, so an integer T drops the fraction: hold
+// counts whose mean matters as float64.
+func (d *Dist[T]) Mean() T {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.mean()
+	return T(d.mean())
 }
 
-func (d *IntDist) mean() float64 {
+func (d *Dist[T]) mean() float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
-	sum := 0
+	var sum T
 	for _, v := range d.samples {
 		sum += v
 	}
@@ -216,11 +64,10 @@ func (d *IntDist) mean() float64 {
 }
 
 // Std returns the population standard deviation.
-func (d *IntDist) Std() float64 {
+func (d *Dist[T]) Std() T {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.samples)
-	if n == 0 {
+	if len(d.samples) == 0 {
 		return 0
 	}
 	mean := d.mean()
@@ -229,100 +76,60 @@ func (d *IntDist) Std() float64 {
 		diff := float64(v) - mean
 		ss += diff * diff
 	}
-	return math.Sqrt(ss / float64(n))
+	return T(math.Sqrt(ss / float64(len(d.samples))))
 }
 
-// Max returns the largest sample.
-func (d *IntDist) Max() int {
+// Min returns the smallest sample, 0 when empty.
+func (d *Dist[T]) Min() T { return d.Percentile(0) }
+
+// Max returns the largest sample, 0 when empty.
+func (d *Dist[T]) Max() T { return d.Percentile(100) }
+
+// Percentile returns the p-th percentile (p in [0,100]) using
+// nearest-rank, 0 when empty.
+func (d *Dist[T]) Percentile(p float64) T {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.samples) == 0 {
+	n := len(d.samples)
+	if n == 0 {
 		return 0
 	}
-	d.ensureSorted()
-	return d.samples[len(d.samples)-1]
+	d.sort()
+	rank := int(math.Ceil(p / 100 * float64(n)))
+	return d.samples[min(max(rank, 1), n)-1]
 }
 
-// Min returns the smallest sample.
-func (d *IntDist) Min() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	return d.samples[0]
-}
-
-// ensureSorted must be called with mu held.
-func (d *IntDist) ensureSorted() {
+// sort must be called with mu held.
+func (d *Dist[T]) sort() {
 	if !d.sorted {
-		sort.Ints(d.samples)
+		slices.Sort(d.samples)
 		d.sorted = true
 	}
 }
 
-// CounterSet is a bag of named monotonic counters. The chaos harness emits
-// its campaign counters (faults injected, invariant checks run, messages
-// dropped/duplicated) through one so runs are inspectable. All methods are
-// safe for concurrent use; Render lists counters in sorted name order so
-// output is deterministic.
-type CounterSet struct {
-	mu     sync.Mutex
-	counts map[string]uint64
+// CDFPoint is one point of an empirical CDF.
+type CDFPoint[T number] struct {
+	X T
+	P float64 // cumulative probability in (0,1]
 }
 
-// NewCounterSet creates an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{counts: make(map[string]uint64)} }
-
-// Inc increments a counter by one.
-func (c *CounterSet) Inc(name string) { c.Add(name, 1) }
-
-// Add increments a counter by delta.
-func (c *CounterSet) Add(name string, delta uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts[name] += delta
-}
-
-// Get returns a counter's current value (0 when never touched).
-func (c *CounterSet) Get(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
-
-// Names returns the touched counter names, sorted.
-func (c *CounterSet) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.counts))
-	for name := range c.counts {
-		out = append(out, name)
+// CDF returns up to points evenly spaced points of the empirical CDF (the
+// paper's Fig. 9 plots).
+func (d *Dist[T]) CDF(points int) []CDFPoint[T] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.samples)
+	if n == 0 || points <= 0 {
+		return nil
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot returns a copy of all counters.
-func (c *CounterSet) Snapshot() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.counts))
-	for k, v := range c.counts {
-		out[k] = v
+	d.sort()
+	points = min(points, n)
+	out := make([]CDFPoint[T], 0, points)
+	for i := 1; i <= points; i++ {
+		idx := i*n/points - 1
+		out = append(out, CDFPoint[T]{X: d.samples[idx], P: float64(idx+1) / float64(n)})
 	}
 	return out
-}
-
-// Render returns one "name value" line per counter, sorted by name.
-func (c *CounterSet) Render() string {
-	names := c.Names()
-	t := NewTable("counter", "value")
-	for _, name := range names {
-		t.AddRow(name, c.Get(name))
-	}
-	return t.String()
 }
 
 // Table renders aligned text tables for experiment output, in the spirit

@@ -70,59 +70,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the average sample (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket
-// distribution. The estimate is the upper bound of the bucket holding the
-// q-th sample — coarse but monotone, which is all dashboards need.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
 // HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Bounds []float64 `json:"bounds"`
@@ -226,7 +173,7 @@ func (r *Registry) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.hist(name, DurationBounds).ObserveDuration(d)
+	r.hist(name, DurationBounds).Observe(d.Seconds())
 }
 
 // ObserveInt records an integer sample (hops, visits) into the named
@@ -330,20 +277,10 @@ func (s *Snapshot) Merge(o Snapshot) {
 // is deterministic.
 func (s Snapshot) RenderProm() string {
 	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(s.Counters) {
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name])
 	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(s.Histograms) {
 		h := s.Histograms[name]
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 		var cum uint64
@@ -363,33 +300,49 @@ func (s Snapshot) RenderProm() string {
 // EXPLAIN footers print.
 func (s Snapshot) Summary() string {
 	t := NewTable("metric", "count", "mean", "p50", "p99", "max")
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(s.Counters) {
 		t.AddRow(name, s.Counters[name], "", "", "", "")
 	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(s.Histograms) {
 		h := s.Histograms[name]
-		mean := 0.0
-		if h.Count > 0 {
-			mean = h.Sum / float64(h.Count)
-		}
-		t.AddRow(name, h.Count, formatBound(mean), formatBound(h.quantile(0.50)), formatBound(h.quantile(0.99)), formatBound(h.Max))
+		t.AddRow(name, h.Count, formatBound(h.Mean()), formatBound(h.Quantile(0.50)), formatBound(h.Quantile(0.99)), formatBound(h.Max))
 	}
 	return t.String()
 }
 
-// quantile estimates a quantile from snapshot buckets (see
-// Histogram.Quantile).
-func (h HistSnapshot) quantile(q float64) float64 {
+// CounterTable renders the counters alone, one "name value" row each —
+// the chaos harness's campaign report.
+func (s Snapshot) CounterTable() string {
+	t := NewTable("counter", "value")
+	for _, name := range sortedNames(s.Counters) {
+		t.AddRow(name, s.Counters[name])
+	}
+	return t.String()
+}
+
+// sortedNames lists a metric map's names in sorted order, so every
+// rendering is deterministic.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Mean returns the average sample (0 when empty).
+func (h HistSnapshot) Mean() float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return h.Sum / float64(h.Count)
+}
+
+// Quantile estimates the q-quantile (q in [0,1]) as the upper bound of
+// the bucket holding the q-th sample — coarse but monotone, which is all
+// dashboards need.
+func (h HistSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
 	}

@@ -12,24 +12,24 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if h.Sum() != 5050 {
-		t.Fatalf("sum = %v", h.Sum())
+	if s.Sum != 5050 {
+		t.Fatalf("sum = %v", s.Sum)
 	}
-	if m := h.Mean(); m != 50.5 {
+	if m := s.Mean(); m != 50.5 {
 		t.Fatalf("mean = %v", m)
 	}
 	// Bucket-upper-bound estimates: the median of 1..100 lands in (32,64].
-	if q := h.Quantile(0.5); q != 64 {
+	if q := s.Quantile(0.5); q != 64 {
 		t.Fatalf("p50 = %v, want 64", q)
 	}
 	// The max sample caps the +Inf-adjacent estimate.
-	if q := h.Quantile(1.0); q != 128 {
+	if q := s.Quantile(1.0); q != 128 {
 		t.Fatalf("p100 = %v, want 128 (bucket bound)", q)
 	}
-	s := h.Snapshot()
 	if s.Min != 1 || s.Max != 100 {
 		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
 	}
@@ -47,15 +47,18 @@ func TestRegistryCountersAndObserve(t *testing.T) {
 	}
 	r.Observe("lat_seconds", 250*time.Millisecond)
 	r.Observe("lat_seconds", 500*time.Millisecond)
-	h := r.Histogram("lat_seconds")
-	if h == nil || h.Count() != 2 {
-		t.Fatalf("histogram missing or wrong count: %+v", h)
+	if r.Histogram("lat_seconds") == nil {
+		t.Fatal("histogram missing")
+	}
+	h := r.Histogram("lat_seconds").Snapshot()
+	if h.Count != 2 {
+		t.Fatalf("wrong count: %+v", h)
 	}
 	if m := h.Mean(); m < 0.374 || m > 0.376 {
 		t.Fatalf("mean = %v", m)
 	}
 	r.ObserveInt("hops", 3)
-	if r.Histogram("hops").Count() != 1 {
+	if r.Histogram("hops").Snapshot().Count != 1 {
 		t.Fatal("int histogram not recorded")
 	}
 }
@@ -134,7 +137,40 @@ func TestRegistryConcurrency(t *testing.T) {
 	if r.Counter("c_total") != 4000 {
 		t.Fatalf("c_total = %d", r.Counter("c_total"))
 	}
-	if r.Histogram("d_seconds").Count() != 4000 {
+	if r.Histogram("d_seconds").Snapshot().Count != 4000 {
 		t.Fatal("histogram lost samples")
+	}
+}
+
+func TestRegistrySnapshotIsCopy(t *testing.T) {
+	r := NewRegistry()
+	r.Add("x", 7)
+	snap := r.Snapshot()
+	snap.Counters["x"] = 999
+	snap.Counters["new"] = 1
+	if got := r.Counter("x"); got != 7 {
+		t.Errorf("mutating snapshot changed live counter: x = %d", got)
+	}
+	if got := r.Counter("new"); got != 0 {
+		t.Errorf("mutating snapshot created live counter: new = %d", got)
+	}
+}
+
+// TestSnapshotCounterTable pins the chaos harness's campaign report:
+// counters only, sorted by name, a counter touched with a zero delta
+// still listed.
+func TestSnapshotCounterTable(t *testing.T) {
+	r := NewRegistry()
+	r.Add("faults.crash", 3)
+	r.Add("checks.routing", 12)
+	r.Add("net.dropped", 0)
+	r.ObserveInt("hops", 2)
+	want := "counter         value\n" +
+		"--------------  -----\n" +
+		"checks.routing  12   \n" +
+		"faults.crash    3    \n" +
+		"net.dropped     0    \n"
+	if got := r.Snapshot().CounterTable(); got != want {
+		t.Fatalf("CounterTable =\n%s\nwant\n%s", got, want)
 	}
 }

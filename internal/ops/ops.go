@@ -8,10 +8,14 @@
 // submissions (same key, same op record, never a second reservation),
 // and Restore replays incomplete records after a crash so an accepted
 // operation either completes or durably rolls back. See docs/GATEWAY.md.
+//
+// A running op is driven by attempt (attempt.go), which runs the step of
+// the op's phase and asks decide (decide.go) — a pure table — what the
+// result means: finish, retry, or roll back. Every op ends through
+// finish: decide, persist, then publish.
 package ops
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -152,12 +156,9 @@ type Config struct {
 	// RetainTerminal bounds retained terminal op records; older ones are
 	// pruned from memory and WAL.
 	RetainTerminal int
-	// Now supplies the clock (virtual under simulation). Default
-	// node.Now.
-	Now func() time.Time
 }
 
-func (c Config) withDefaults(n *core.Node) Config {
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
@@ -179,46 +180,32 @@ func (c Config) withDefaults(n *core.Node) Config {
 	if c.RetainTerminal <= 0 {
 		c.RetainTerminal = 512
 	}
-	if c.Now == nil {
-		c.Now = n.Now
-	}
 	return c
 }
 
-// op is the engine's internal operation state. Fields are guarded by
-// Engine.mu; the driving logic runs on the node's event context and
-// takes the lock for every mutation, never holding it across core or
-// store calls.
+// op is the engine's operation state: the snapshot callers see (Dedup
+// never set) plus what they do not. Fields are guarded by Engine.mu; the
+// driving logic runs on the node's event context and takes the lock for
+// every mutation, never holding it across core or store calls. The
+// identity and request fields never change once the op is registered, so
+// steps read those without the lock.
 type op struct {
-	id      string
-	kind    Kind
-	state   State
-	idemKey string
-	tenant  string
+	Op
 
+	// A reserve's query parameters beyond the text.
 	caller  string
-	query   string
 	payload string
 	mode    string
 
-	queryID   string
-	cands     []Candidate
-	fromOp    string
-	shortfall int
-
-	updates []Update
-
-	errMsg   string
-	attempts int
-	// finishing is set once the terminal transition is decided; state
+	// finishing is set once the terminal transition is decided; State
 	// stays running until that transition's record is durable.
 	finishing bool
 	// rollbackReason, once set, switches the op into its rollback phase:
 	// release every candidate, then finish rolled-back.
 	rollbackReason string
-	rolledBack     bool
-
-	created, updated time.Time
+	// rolledBack records that a failed reserve attempt released partial
+	// reservations, so running out of attempts ends rolled-back, not failed.
+	rolledBack bool
 
 	deadline transport.CancelFunc
 }
@@ -251,7 +238,7 @@ func NewEngine(n *core.Node, st Store, cfg Config) *Engine {
 	return &Engine{
 		node:     n,
 		st:       st,
-		cfg:      cfg.withDefaults(n),
+		cfg:      cfg.withDefaults(),
 		m:        n.Metrics(),
 		idPrefix: "op-" + strings.ReplaceAll(n.Addr().String(), "/", "-"),
 		ops:      make(map[string]*op),
@@ -261,6 +248,23 @@ func NewEngine(n *core.Node, st Store, cfg Config) *Engine {
 }
 
 func idemKeyOf(tenant, key string) string { return tenant + "\x00" + key }
+
+// register makes o known by ID and by idempotency key. e.mu must be held.
+func (e *Engine) register(o *op) {
+	e.ops[o.ID] = o
+	if o.IdemKey != "" {
+		e.byIdem[idemKeyOf(o.Tenant, o.IdemKey)] = o.ID
+	}
+}
+
+// forget undoes register, leaving the key alone if a later op took it over.
+// e.mu must be held.
+func (e *Engine) forget(o *op) {
+	delete(e.ops, o.ID)
+	if key := idemKeyOf(o.Tenant, o.IdemKey); e.byIdem[key] == o.ID {
+		delete(e.byIdem, key)
+	}
+}
 
 // validate rejects malformed requests before any record is created.
 func validate(req Request) error {
@@ -305,7 +309,7 @@ func (e *Engine) Submit(req Request) (Op, error) {
 	if err := e.node.StoreErr(); err != nil {
 		return Op{}, fmt.Errorf("%w: %v", ErrStoreFailed, err)
 	}
-	now := e.cfg.Now()
+	now := e.node.Now()
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -329,26 +333,25 @@ func (e *Engine) Submit(req Request) (Op, error) {
 	}
 	e.seq++
 	o := &op{
-		id:      e.idPrefix + "-" + strconv.FormatUint(e.seq, 10),
-		kind:    req.Kind,
-		state:   StatePending,
-		idemKey: req.IdemKey,
-		tenant:  req.Tenant,
+		Op: Op{
+			ID:         e.idPrefix + "-" + strconv.FormatUint(e.seq, 10),
+			Kind:       req.Kind,
+			State:      StatePending,
+			IdemKey:    req.IdemKey,
+			Tenant:     req.Tenant,
+			Query:      req.Query,
+			QueryID:    req.QueryID,
+			Candidates: append([]Candidate(nil), req.Candidates...),
+			FromOp:     req.FromOp,
+			Updates:    append([]Update(nil), req.Updates...),
+			Created:    now,
+			Updated:    now,
+		},
 		caller:  req.Caller,
-		query:   req.Query,
 		payload: req.Payload,
 		mode:    req.Mode,
-		queryID: req.QueryID,
-		cands:   append([]Candidate(nil), req.Candidates...),
-		fromOp:  req.FromOp,
-		updates: append([]Update(nil), req.Updates...),
-		created: now,
-		updated: now,
 	}
-	e.ops[o.id] = o
-	if o.idemKey != "" {
-		e.byIdem[idemKeyOf(o.tenant, o.idemKey)] = o.id
-	}
+	e.register(o)
 	e.queue = append(e.queue, o)
 	e.active++
 	rec := o.stored()
@@ -362,11 +365,8 @@ func (e *Engine) Submit(req Request) (Op, error) {
 			// Not on disk, so not accepted: forget the op (pump skips a
 			// queued entry that is no longer pending).
 			e.mu.Lock()
-			o.state = StateFailed
-			delete(e.ops, o.id)
-			if o.idemKey != "" {
-				delete(e.byIdem, idemKeyOf(o.tenant, o.idemKey))
-			}
+			o.State = StateFailed
+			e.forget(o)
 			e.active--
 			e.mu.Unlock()
 			return Op{}, fmt.Errorf("%w: %v", ErrStoreFailed, err)
@@ -436,25 +436,20 @@ func (e *Engine) Restore(recs map[string]store.StoredOp) int {
 		o := fromStored(rec)
 		// Keep fresh IDs above every restored one so the prefix+seq
 		// scheme never re-mints a recovered ID.
-		if i := strings.LastIndexByte(rec.ID, '-'); i >= 0 {
-			if n, err := strconv.ParseUint(rec.ID[i+1:], 10, 64); err == nil && n > e.seq {
-				e.seq = n
-			}
+		tail := rec.ID[strings.LastIndexByte(rec.ID, '-')+1:]
+		if n, err := strconv.ParseUint(tail, 10, 64); err == nil && n > e.seq {
+			e.seq = n
 		}
-		e.ops[o.id] = o
-		if o.idemKey != "" {
-			e.byIdem[idemKeyOf(o.tenant, o.idemKey)] = o.id
-		}
-		if o.state.Terminal() {
-			e.terminalQ = append(e.terminalQ, o.id)
+		e.register(o)
+		if o.State.Terminal() {
+			e.terminalQ = append(e.terminalQ, o.ID)
 			continue
 		}
 		// A crash mid-flight leaves pending or running records; both
 		// restart from scratch. Re-running is safe: reserve re-queries
 		// (stale holds expire by TTL), commit/release are idempotent at
 		// the owners, attrs re-applies value-equal writes as no-ops.
-		o.state = StatePending
-		o.attempts = 0
+		o.State = StatePending
 		e.queue = append(e.queue, o)
 		e.active++
 		requeued++
@@ -477,9 +472,7 @@ func (e *Engine) Drain(timeout time.Duration) int {
 	e.mu.Unlock()
 	deadline := time.Now().Add(timeout)
 	for {
-		e.mu.Lock()
-		left := e.active
-		e.mu.Unlock()
+		left := e.QueueDepth()
 		if left == 0 || time.Now().After(deadline) {
 			return left
 		}
@@ -498,304 +491,16 @@ func (e *Engine) pump() {
 		}
 		o := e.queue[0]
 		e.queue = e.queue[1:]
-		if o.state != StatePending {
+		if o.State != StatePending {
 			e.mu.Unlock()
 			continue
 		}
-		o.state = StateRunning
-		o.updated = e.cfg.Now()
+		o.State = StateRunning
+		o.Updated = e.node.Now()
 		e.runningN++
 		e.mu.Unlock()
-		e.startOp(o)
+		e.attempt(o)
 	}
-}
-
-// startOp dispatches one attempt of o. Node event context only.
-func (e *Engine) startOp(o *op) {
-	if o.rollbackReason != "" {
-		e.runRollback(o)
-		return
-	}
-	switch o.kind {
-	case KindReserve:
-		e.runReserve(o)
-	case KindCommit, KindRelease:
-		e.runCommitRelease(o)
-	case KindAttrs:
-		e.runAttrs(o)
-	default:
-		e.finish(o, StateFailed, "unknown kind "+string(o.kind))
-	}
-}
-
-// permanentQueryErr classifies reserve failures that retrying cannot
-// fix.
-func permanentQueryErr(err error) bool {
-	return errors.Is(err, core.ErrNoPlan) || errors.Is(err, core.ErrNoView)
-}
-
-func (e *Engine) runReserve(o *op) {
-	q, err := query.Parse(o.query)
-	if err != nil {
-		e.finish(o, StateFailed, err.Error())
-		return
-	}
-	mode, err := core.ParseViewMode(o.mode)
-	if err != nil {
-		e.finish(o, StateFailed, err.Error())
-		return
-	}
-	e.mu.Lock()
-	o.attempts++
-	gen := o.attempts
-	caller := o.caller
-	if caller == "" {
-		caller = "ops/" + o.id
-	}
-	var payload any
-	if o.payload != "" {
-		payload = o.payload
-	}
-	o.deadline = e.node.Pastry().After(e.cfg.StepTimeout, func() {
-		e.mu.Lock()
-		stale := o.attempts != gen || !o.running()
-		e.mu.Unlock()
-		if stale {
-			return
-		}
-		e.retryOrFinish(o, "reserve deadline exceeded")
-	})
-	e.mu.Unlock()
-
-	e.node.QueryVia(q, caller, payload, mode, func(qr core.QueryResult) {
-		e.mu.Lock()
-		stale := o.attempts != gen || !o.running()
-		if !stale && o.deadline != nil {
-			o.deadline()
-			o.deadline = nil
-		}
-		e.mu.Unlock()
-		if stale {
-			// The deadline (or a crash) already moved the op on; free
-			// whatever this late attempt reserved.
-			if qr.QueryID != "" && len(qr.Candidates) > 0 {
-				e.node.Release(qr.QueryID, qr.Candidates)
-			}
-			return
-		}
-		if qr.Err != nil {
-			// A failed round may still hold partial reservations; release
-			// them before retrying or failing so nothing stays locked
-			// beyond TTL on our account.
-			if qr.QueryID != "" && len(qr.Candidates) > 0 {
-				e.node.Release(qr.QueryID, qr.Candidates)
-				e.mu.Lock()
-				o.rolledBack = true
-				e.mu.Unlock()
-			}
-			if permanentQueryErr(qr.Err) {
-				e.finish(o, StateFailed, qr.Err.Error())
-				return
-			}
-			e.retryOrFinish(o, qr.Err.Error())
-			return
-		}
-		e.mu.Lock()
-		o.queryID = qr.QueryID
-		o.cands = fromCoreCandidates(qr.Candidates)
-		o.shortfall = qr.Shortfall
-		e.mu.Unlock()
-		e.finish(o, StateDone, "")
-	})
-}
-
-func (e *Engine) runCommitRelease(o *op) {
-	e.mu.Lock()
-	if o.fromOp != "" && o.queryID == "" {
-		src, ok := e.ops[o.fromOp]
-		switch {
-		case !ok:
-			e.mu.Unlock()
-			e.finish(o, StateFailed, "unknown source op "+o.fromOp)
-			return
-		case src.state == StateDone:
-			o.queryID = src.queryID
-			o.cands = append([]Candidate(nil), src.cands...)
-		case src.state.Terminal():
-			state := string(src.state)
-			e.mu.Unlock()
-			e.finish(o, StateFailed, "source op "+o.fromOp+" ended "+state)
-			return
-		default:
-			// Source still in flight: park until it finishes, freeing the
-			// worker slot.
-			o.state = StatePending
-			e.runningN--
-			e.waiters[o.fromOp] = append(e.waiters[o.fromOp], o)
-			e.mu.Unlock()
-			return
-		}
-	}
-	if o.queryID == "" || len(o.cands) == 0 {
-		e.mu.Unlock()
-		e.finish(o, StateFailed, "nothing to "+string(o.kind))
-		return
-	}
-	o.attempts++
-	gen := o.attempts
-	queryID := o.queryID
-	cands := toCoreCandidates(o.cands)
-	commit := o.kind == KindCommit
-	e.mu.Unlock()
-
-	cb := func(r core.AckResult) {
-		e.mu.Lock()
-		stale := o.attempts != gen || !o.running() || o.rollbackReason != ""
-		attempts := o.attempts
-		e.mu.Unlock()
-		if stale {
-			return
-		}
-		switch {
-		case r.AllMatched():
-			e.finish(o, StateDone, "")
-		case commit && r.Unmatched > 0:
-			// An owner refused: its reservation expired or was superseded.
-			// All-or-nothing semantics — undo the owners that did commit.
-			e.startRollback(o, fmt.Sprintf("commit refused by %d owner(s): reservation expired or superseded", r.Unmatched))
-		case !commit && r.Lost == 0:
-			// Unmatched releases mean already-free: success.
-			e.finish(o, StateDone, "")
-		case attempts >= e.cfg.RetryMax && commit:
-			e.startRollback(o, fmt.Sprintf("commit incomplete after %d attempts: %d owner(s) unreachable", attempts, r.Lost))
-		case attempts >= e.cfg.RetryMax:
-			e.finish(o, StateFailed, fmt.Sprintf("release incomplete after %d attempts: %d owner(s) unreachable", attempts, r.Lost))
-		default:
-			e.retryAfterBackoff(o, attempts)
-		}
-	}
-	if commit {
-		e.node.CommitAcked(queryID, cands, e.cfg.StepTimeout, cb)
-	} else {
-		e.node.ReleaseAcked(queryID, cands, e.cfg.StepTimeout, cb)
-	}
-}
-
-// startRollback flips the op into its rollback phase and runs the first
-// release fan-out. Node event context only.
-func (e *Engine) startRollback(o *op, reason string) {
-	e.mu.Lock()
-	o.rollbackReason = reason
-	o.rolledBack = true
-	o.attempts = 0
-	e.mu.Unlock()
-	e.runRollback(o)
-}
-
-func (e *Engine) runRollback(o *op) {
-	e.mu.Lock()
-	o.attempts++
-	gen := o.attempts
-	queryID := o.queryID
-	cands := toCoreCandidates(o.cands)
-	reason := o.rollbackReason
-	e.mu.Unlock()
-	e.node.ReleaseAcked(queryID, cands, e.cfg.StepTimeout, func(r core.AckResult) {
-		e.mu.Lock()
-		stale := o.attempts != gen || !o.running()
-		attempts := o.attempts
-		e.mu.Unlock()
-		if stale {
-			return
-		}
-		if r.Lost == 0 {
-			e.finish(o, StateRolledBack, reason)
-			return
-		}
-		if attempts >= e.cfg.RetryMax {
-			e.finish(o, StateRolledBack, fmt.Sprintf("%s; rollback incomplete: %d owner(s) unreachable (TTL frees uncommitted holds)", reason, r.Lost))
-			return
-		}
-		e.retryAfterBackoff(o, attempts)
-	})
-}
-
-func (e *Engine) runAttrs(o *op) {
-	e.mu.Lock()
-	updates := o.updates
-	id := o.id
-	e.mu.Unlock()
-	remaining := len(updates)
-	applied := 0
-	var failures []string
-	// Acks fire on the node's event context (or synchronously here,
-	// also on it), so plain counters are safe.
-	for _, u := range updates {
-		name := u.Name
-		_ = e.node.IngestEnqueue(name, u.Value, "ops/"+id, func(err error) {
-			remaining--
-			if err != nil {
-				failures = append(failures, name+": "+err.Error())
-			} else {
-				applied++
-			}
-			if remaining > 0 {
-				return
-			}
-			e.mu.Lock()
-			running := o.running()
-			e.mu.Unlock()
-			if !running {
-				return
-			}
-			switch {
-			case len(failures) == 0:
-				e.finish(o, StateDone, "")
-			case applied == 0:
-				e.finish(o, StateFailed, strings.Join(failures, "; "))
-			default:
-				e.finish(o, StateDone, fmt.Sprintf("%d/%d updates rejected: %s", len(failures), len(updates), strings.Join(failures, "; ")))
-			}
-		})
-	}
-}
-
-// retryOrFinish retries o after backoff, or finishes it when attempts
-// are exhausted (rolled-back when a rollback release was issued along
-// the way, failed otherwise). Node event context only.
-func (e *Engine) retryOrFinish(o *op, reason string) {
-	e.mu.Lock()
-	attempts := o.attempts
-	rolledBack := o.rolledBack
-	o.errMsg = reason
-	e.mu.Unlock()
-	if attempts >= e.cfg.RetryMax {
-		state := StateFailed
-		if rolledBack {
-			state = StateRolledBack
-		}
-		e.finish(o, state, reason)
-		return
-	}
-	e.retryAfterBackoff(o, attempts)
-}
-
-// retryAfterBackoff schedules o's next attempt under truncated
-// exponential backoff. Node event context only.
-func (e *Engine) retryAfterBackoff(o *op, attempts int) {
-	e.m.Inc("rbay_ops_retries_total")
-	backoff := e.cfg.RetryBase << uint(attempts-1)
-	if backoff > e.cfg.RetryCap || backoff <= 0 {
-		backoff = e.cfg.RetryCap
-	}
-	e.node.Pastry().After(backoff, func() {
-		e.mu.Lock()
-		run := o.running()
-		e.mu.Unlock()
-		if run {
-			e.startOp(o)
-		}
-	})
 }
 
 // finish decides o's terminal transition, persists it off the event
@@ -805,7 +510,7 @@ func (e *Engine) retryAfterBackoff(o *op, attempts int) {
 // only.
 func (e *Engine) finish(o *op, state State, errMsg string) {
 	e.mu.Lock()
-	if o.state.Terminal() || o.finishing {
+	if o.State.Terminal() || o.finishing {
 		e.mu.Unlock()
 		return
 	}
@@ -814,7 +519,7 @@ func (e *Engine) finish(o *op, state State, errMsg string) {
 		o.deadline()
 		o.deadline = nil
 	}
-	now := e.cfg.Now()
+	now := e.node.Now()
 	rec := o.stored()
 	rec.State, rec.Error, rec.UpdatedNanos = string(state), errMsg, now.UnixNano()
 	e.mu.Unlock()
@@ -837,33 +542,27 @@ func (e *Engine) finish(o *op, state State, errMsg string) {
 // context only.
 func (e *Engine) publish(o *op, state State, errMsg string, now time.Time) {
 	e.mu.Lock()
-	if o.state == StateRunning {
+	if o.State == StateRunning {
 		e.runningN--
 	}
-	o.state = state
-	o.errMsg = errMsg
-	o.updated = now
+	o.State = state
+	o.Error = errMsg
+	o.Updated = now
 	e.active--
-	e.terminalQ = append(e.terminalQ, o.id)
+	e.terminalQ = append(e.terminalQ, o.ID)
 	var evict []string
 	for len(e.terminalQ) > e.cfg.RetainTerminal {
 		eid := e.terminalQ[0]
 		e.terminalQ = e.terminalQ[1:]
 		if old := e.ops[eid]; old != nil {
-			delete(e.ops, eid)
-			if old.idemKey != "" {
-				key := idemKeyOf(old.tenant, old.idemKey)
-				if e.byIdem[key] == eid {
-					delete(e.byIdem, key)
-				}
-			}
+			e.forget(old)
 			evict = append(evict, eid)
 		}
 	}
-	waiters := e.waiters[o.id]
-	delete(e.waiters, o.id)
+	waiters := e.waiters[o.ID]
+	delete(e.waiters, o.ID)
 	e.queue = append(e.queue, waiters...)
-	latency := o.updated.Sub(o.created)
+	latency := o.Updated.Sub(o.Created)
 	depth := e.active
 	e.mu.Unlock()
 
@@ -883,138 +582,4 @@ func (e *Engine) publish(o *op, state State, errMsg string, now time.Time) {
 	e.m.Observe("rbay_op_latency", latency)
 	e.m.ObserveInt("rbay_ops_queue_depth", depth)
 	e.node.Do(e.pump)
-}
-
-// running reports whether o is still being driven: started and not yet
-// decided. Engine.mu must be held.
-func (o *op) running() bool { return o.state == StateRunning && !o.finishing }
-
-// snapshot renders o for callers. Engine.mu must be held.
-func (o *op) snapshot() Op {
-	return Op{
-		ID:         o.id,
-		Kind:       o.kind,
-		State:      o.state,
-		Tenant:     o.tenant,
-		IdemKey:    o.idemKey,
-		Query:      o.query,
-		QueryID:    o.queryID,
-		Candidates: append([]Candidate(nil), o.cands...),
-		Shortfall:  o.shortfall,
-		FromOp:     o.fromOp,
-		Updates:    append([]Update(nil), o.updates...),
-		Error:      o.errMsg,
-		Attempts:   o.attempts,
-		Created:    o.created,
-		Updated:    o.updated,
-	}
-}
-
-// stored renders o as its WAL record. Engine.mu must be held.
-func (o *op) stored() store.StoredOp {
-	rec := store.StoredOp{
-		ID:           o.id,
-		Kind:         string(o.kind),
-		State:        string(o.state),
-		IdemKey:      o.idemKey,
-		Tenant:       o.tenant,
-		Query:        o.query,
-		Payload:      o.payload,
-		Caller:       o.caller,
-		Mode:         o.mode,
-		FromOp:       o.fromOp,
-		QueryID:      o.queryID,
-		Error:        o.errMsg,
-		Shortfall:    o.shortfall,
-		CreatedNanos: o.created.UnixNano(),
-		UpdatedNanos: o.updated.UnixNano(),
-	}
-	// Running is a volatile state: a record read back after a crash
-	// means "accepted but unfinished", which is exactly pending.
-	if rec.State == string(StateRunning) {
-		rec.State = string(StatePending)
-	}
-	for _, c := range o.cands {
-		rec.Candidates = append(rec.Candidates, store.OpCandidate{NodeID: c.NodeID, Site: c.Site, Host: c.Host})
-	}
-	if len(o.updates) > 0 {
-		if raw, err := json.Marshal(o.updates); err == nil {
-			rec.Updates = string(raw)
-		}
-	}
-	return rec
-}
-
-// fromStored rebuilds an op from its WAL record.
-func fromStored(rec store.StoredOp) *op {
-	o := &op{
-		id:        rec.ID,
-		kind:      Kind(rec.Kind),
-		state:     State(rec.State),
-		idemKey:   rec.IdemKey,
-		tenant:    rec.Tenant,
-		query:     rec.Query,
-		payload:   rec.Payload,
-		caller:    rec.Caller,
-		mode:      rec.Mode,
-		fromOp:    rec.FromOp,
-		queryID:   rec.QueryID,
-		errMsg:    rec.Error,
-		shortfall: rec.Shortfall,
-		created:   time.Unix(0, rec.CreatedNanos),
-		updated:   time.Unix(0, rec.UpdatedNanos),
-	}
-	for _, c := range rec.Candidates {
-		o.cands = append(o.cands, Candidate{NodeID: c.NodeID, Site: c.Site, Host: c.Host})
-	}
-	if rec.Updates != "" {
-		var ups []Update
-		if err := json.Unmarshal([]byte(rec.Updates), &ups); err == nil {
-			for i := range ups {
-				ups[i].Value = NormalizeJSONValue(ups[i].Value)
-			}
-			o.updates = ups
-		}
-	}
-	return o
-}
-
-// NormalizeJSONValue maps decoded JSON shapes onto the attribute value
-// types the store codec round-trips: homogeneous string arrays become
-// []string; everything else passes through (non-scalar leftovers are
-// rejected by ingest validation).
-func NormalizeJSONValue(v any) any {
-	arr, ok := v.([]any)
-	if !ok {
-		return v
-	}
-	out := make([]string, len(arr))
-	for i, e := range arr {
-		s, ok := e.(string)
-		if !ok {
-			return v
-		}
-		out[i] = s
-	}
-	return out
-}
-
-func toCoreCandidates(cands []Candidate) []core.Candidate {
-	out := make([]core.Candidate, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, core.Candidate{
-			NodeID: c.NodeID,
-			Site:   c.Site,
-			Addr:   transport.Addr{Site: c.Site, Host: c.Host},
-		})
-	}
-	return out
-}
-
-func fromCoreCandidates(cands []core.Candidate) []Candidate {
-	out := make([]Candidate, 0, len(cands))
-	for _, c := range cands {
-		out = append(out, Candidate{NodeID: c.NodeID, Site: c.Site, Host: c.Addr.Host})
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,9 +51,6 @@ func newFed(t testing.TB) *core.Federation {
 
 func testEngine(fed *core.Federation, st Store, cfg Config) *Engine {
 	n := fed.BySite["lab"][0]
-	if cfg.Now == nil {
-		cfg.Now = n.Now
-	}
 	if cfg.StepTimeout == 0 {
 		cfg.StepTimeout = 3 * time.Second
 	}
@@ -262,6 +260,31 @@ func TestQueueFullSheds(t *testing.T) {
 	}
 }
 
+// Drain refuses new submissions at once and reports what is still in
+// flight when its (wall-clock) timeout runs out.
+func TestDrainRefusesNewWork(t *testing.T) {
+	fed := newFed(t)
+	e := testEngine(fed, nil, Config{})
+	op, err := e.Submit(Request{Kind: KindReserve, Query: "SELECT 1 FROM lab WHERE GPU = true;"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Draining() {
+		t.Fatal("draining before Drain")
+	}
+	if left := e.Drain(0); left != 1 || !e.Draining() {
+		t.Fatalf("Drain(0) = %d, draining = %v; want 1 op in flight", left, e.Draining())
+	}
+	if _, err := e.Submit(Request{Kind: KindReserve, Query: "SELECT 1 FROM lab WHERE GPU = true;"}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Submit while draining = %v, want ErrDraining", err)
+	}
+	// Accepted work still completes.
+	driveUntil(t, fed, "op terminal", terminal(e, op.ID))
+	if left := e.Drain(time.Second); left != 0 {
+		t.Fatalf("Drain after quiescence = %d", left)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	fed := newFed(t)
 	e := testEngine(fed, nil, Config{})
@@ -331,7 +354,7 @@ func TestRestoreReplaysIncompleteOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	att, err := e1.Submit(Request{Kind: KindAttrs, Updates: []Update{{Name: "rack", Value: "r7"}}})
+	att, err := e1.Submit(Request{Kind: KindAttrs, Updates: []Update{{Name: "rack", Value: "r7"}, {Name: "tags", Value: []string{"ssd", "gpu"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +387,10 @@ func TestRestoreReplaysIncompleteOps(t *testing.T) {
 	b, _ := e2.Get(att.ID)
 	if b.State != StateDone {
 		t.Fatalf("restored attrs = %+v", b)
+	}
+	// The record's JSON list comes back as the []string it was.
+	if v, _ := fed2.BySite["lab"][0].Attributes().Get("tags"); !reflect.DeepEqual(v, []string{"ssd", "gpu"}) {
+		t.Fatalf("restored tags = %#v", v)
 	}
 	// The idempotency key survives the restart: re-submitting after
 	// recovery returns the same op instead of reserving again.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"rbay/internal/ids"
@@ -105,7 +106,9 @@ type Node struct {
 	states map[string]*state
 	apps   map[string]Application
 	stats  Stats
-	closed bool
+	// closed is the one field touched off the event context: Close is the
+	// crash path and may come from any goroutine while handlers run.
+	closed atomic.Bool
 
 	reqHandler func(n *Node, from Entry, body any) any
 	pending    map[uint64]*pendingRPC
@@ -197,12 +200,13 @@ func (n *Node) SetRequestHandler(h func(n *Node, from Entry, body any) any) {
 // has failed.
 func (n *Node) OnFailure(cb func(Entry)) { n.onFailure = append(n.onFailure, cb) }
 
-// Close detaches the node from the network.
+// Close detaches the node from the network. Unlike the rest of the node
+// it is safe from any goroutine, and it never waits on the event context,
+// so it cannot hang on an endpoint that has already stopped.
 func (n *Node) Close() error {
-	if n.closed {
+	if !n.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	n.closed = true
 	return n.ep.Close()
 }
 
@@ -305,7 +309,7 @@ func (n *Node) Route(app string, key ids.ID, payload any) error {
 // only be initiated by a node inside the scope; the message then provably
 // never leaves it. recordTrace asks each hop to append its NodeId.
 func (n *Node) RouteScoped(app, scope string, key ids.ID, payload any, recordTrace bool) error {
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	if scope != GlobalScope && scope != n.Site() {
@@ -438,7 +442,7 @@ func (n *Node) deliver(m *Message) {
 
 // SendApp sends a point-to-point application message.
 func (n *Node) SendApp(to transport.Addr, app string, payload any) error {
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	err := n.ep.Send(to, directEnvelope{App: app, From: n.self, Payload: payload})
@@ -480,7 +484,7 @@ func (n *Node) BootstrapAlone() {
 }
 
 func (n *Node) join(scope string, seed transport.Addr, done func()) error {
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	st := n.stateFor(scope, true)
@@ -647,7 +651,7 @@ func (n *Node) handleRepairResp(r repairResp) {
 
 func (n *Node) scheduleProbe() {
 	n.ep.After(n.cfg.ProbeInterval, func() {
-		if n.closed {
+		if n.closed.Load() {
 			return
 		}
 		n.probeOnce()
@@ -699,7 +703,7 @@ func (n *Node) probeOnce() {
 // request handler computes a reply, sent directly back. cb is invoked with
 // the reply or ErrTimeout.
 func (n *Node) RouteRequest(scope string, key ids.ID, body any, cb func(reply any, from Entry, err error)) error {
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	id := n.newPending(cb)
@@ -710,7 +714,7 @@ func (n *Node) RouteRequest(scope string, key ids.ID, body any, cb func(reply an
 // reply. Transport failures are reported through cb (handle errors once);
 // the return value is non-nil only for misuse of a closed node.
 func (n *Node) RequestDirect(to transport.Addr, body any, cb func(reply any, from Entry, err error)) error {
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	id := n.newPending(cb)
@@ -780,7 +784,7 @@ func (n *Node) handleRPCReply(from Entry, r rpcReply) {
 // Dispatch
 
 func (n *Node) handle(from transport.Addr, msg any) {
-	if n.closed {
+	if n.closed.Load() {
 		return
 	}
 	switch v := msg.(type) {

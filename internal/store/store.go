@@ -69,11 +69,10 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the -fsync flag spelling. "group" is a
-// deprecated alias of "always" (cmd/rbayd warns about it).
+// ParseSyncPolicy parses the -fsync flag spelling.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always", "group":
+	case "always":
 		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil

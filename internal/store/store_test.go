@@ -564,11 +564,10 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got.String(), s)
 		}
 	}
-	// Unit files written for the group-commit policy keep starting.
-	if got, err := ParseSyncPolicy("group"); err != nil || got != SyncAlways {
-		t.Errorf("ParseSyncPolicy(\"group\") = %v, %v; want the always alias", got, err)
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("ParseSyncPolicy accepted garbage")
+	// "group" was an alias of always for one release after PR 15.
+	for _, s := range []string{"group", "sometimes"} {
+		if _, err := ParseSyncPolicy(s); err == nil || !strings.Contains(err.Error(), "unknown fsync policy") {
+			t.Errorf("ParseSyncPolicy(%q) error = %v, want the unknown-policy error", s, err)
+		}
 	}
 }

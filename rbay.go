@@ -147,7 +147,7 @@ const (
 )
 
 // ParseSyncPolicy parses the -fsync flag spelling: "always", "interval",
-// or "never" ("group" is a deprecated alias of "always").
+// or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return store.ParseSyncPolicy(s) }
 
 // OpenStore opens (creating as needed) the snapshot+WAL store under dir
@@ -397,7 +397,8 @@ func (t *TCPNode) Transport() *tcpnet.Network { return t.net }
 func (t *TCPNode) TransportStats() TransportStats { return t.net.Stats() }
 
 // Close shuts the node and its network down abruptly (the crash path: no
-// departure announcement, the store left unsynced past its policy). Use
+// departure announcement, the store left unsynced past its policy). Safe
+// from any goroutine, and it never waits on the node's event context. Use
 // Shutdown for a graceful exit.
 func (t *TCPNode) Close() error {
 	_ = t.Node.Close()

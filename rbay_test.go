@@ -2,6 +2,7 @@ package rbay_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,4 +212,80 @@ func TestTCPNodePublicAPI(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("TCP query timed out")
 	}
+}
+
+// TestTCPNodeCloseWhileReceiving closes a TCP node from the test's
+// goroutine while its event loop is handling a stream of messages — what
+// every rbayctl exit and every crash-path Close does. Run under -race: the
+// close must not touch loop-owned state unsynchronised, and a second Close
+// must report the node closed instead of waiting on a stopped loop.
+func TestTCPNodeCloseWhileReceiving(t *testing.T) {
+	table := map[rbay.Addr]string{}
+	var tableMu sync.Mutex
+	resolve := func(a rbay.Addr) (string, error) {
+		tableMu.Lock()
+		defer tableMu.Unlock()
+		hp, ok := table[a]
+		if !ok {
+			return "", fmt.Errorf("no peer %v", a)
+		}
+		return hp, nil
+	}
+	mk := func(host string) *rbay.TCPNode {
+		t.Helper()
+		addr := rbay.Addr{Site: "lab", Host: host}
+		n, err := rbay.NewTCPNode(addr, rbay.TCPOptions{Listen: "127.0.0.1:0", Resolve: resolve})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tableMu.Lock()
+		table[addr] = n.ListenAddr()
+		tableMu.Unlock()
+		return n
+	}
+	target, sender := mk("n1"), mk("n2")
+	defer sender.Close()
+	target.Node.DoWait(func() { target.Node.Pastry().BootstrapAlone() })
+	sender.Node.DoWait(func() { sender.Node.Pastry().BootstrapAlone() })
+
+	// A release for a query nobody holds is the cheapest message that goes
+	// straight to a named node and through its whole receive path.
+	hold := []rbay.Candidate{{Site: "lab", Addr: target.Node.Addr()}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sender.Node.DoWait(func() { sender.Node.Release("nobody", hold) })
+			}
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for target.Node.Metrics().Counter("rbay_release_unknown_total") < 100 {
+		if time.Now().After(deadline) {
+			t.Fatal("the target never received the release stream")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := target.Close(); err != nil {
+		t.Errorf("Close under traffic: %v", err)
+	}
+	closedTwice := make(chan error, 1)
+	go func() { closedTwice <- target.Close() }()
+	select {
+	case err := <-closedTwice:
+		if err == nil {
+			t.Error("second Close reported success")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("second Close hung on the closed endpoint")
+	}
+	close(stop)
+	wg.Wait()
 }
