@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-tcpnet bench-all bench-baseline bench-diff bench-smoke bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
 ci: fmt-check vet build bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke bench-smoke
 
@@ -38,11 +38,12 @@ race:
 
 # The durable-write pipeline's tests hand work between the event context,
 # the flusher, HTTP goroutines and the flush leader, and the TCP node's
-# Close comes from outside its event loop; one pass under -race proves
-# little about a hand-off, so they get three more.
+# Close comes from outside its event loop, and tcpnet's senders, heartbeat
+# loop and Close all hand work to one writer goroutine per connection; one
+# pass under -race proves little about a hand-off, so they get three more.
 race-handoff:
-	$(GO) test -race -count=3 -run 'TestSyncCoalesces|TestCrashOnFlushBoundary|TestCompactionRidesSync|TestNoDurabilityClaimAfterDeviceFault|TestNoAckWithoutDurableFrame|TestFailedVisitIsNotForwarded|TestOutputsWaitForSync|TestDeviceCallsStayOffTheEventContext|TestTerminalStateWaitsForItsRecord|TestSubmitRejectsUnrecordedOp|TestTCPNodeCloseWhileReceiving' \
-		./internal/store ./internal/core ./internal/ops .
+	$(GO) test -race -count=3 -run 'TestSyncCoalesces|TestCrashOnFlushBoundary|TestCompactionRidesSync|TestNoDurabilityClaimAfterDeviceFault|TestNoAckWithoutDurableFrame|TestFailedVisitIsNotForwarded|TestOutputsWaitForSync|TestDeviceCallsStayOffTheEventContext|TestTerminalStateWaitsForItsRecord|TestSubmitRejectsUnrecordedOp|TestTCPNodeCloseWhileReceiving|TestPerSenderFIFO|TestBatchCoalescing|TestBatchSizeCapFlush|TestBackPressure|TestCloseFlushesPending|TestCloseReturnsWithBlockedPeer|TestSendRedialsStaleConn|TestSendFailureStartsReconnect|TestIdleSendIsNotTimed' \
+		./internal/store ./internal/core ./internal/ops ./internal/tcpnet .
 
 # Seeded fault-injection campaign against the simulated federation; see
 # docs/TESTING.md. Override with e.g. `make chaos CHAOS_SEED=7`. Add
@@ -121,6 +122,12 @@ fuzz-store-smoke:
 # round trip on a zero-delay disk (BenchmarkDurableAck).
 bench-durable:
 	$(GO) test -bench 'BenchmarkAppend|BenchmarkDurableAck' -benchtime 20000x -benchmem -run '^$$' ./internal/store ./internal/core
+
+# The transport's rungs: an idle loopback round trip (what a message pays
+# when nothing else is in flight) and saturating senders into one peer
+# (writes/msg and msg/s: what batching under load buys).
+bench-tcpnet:
+	$(GO) test -bench 'BenchmarkLoopbackRTT|BenchmarkCoalescerThroughput' -benchtime 200000x -run '^$$' ./internal/tcpnet
 
 # Hot-path benchmarks (probe, anycast, cross-site, parser, WAL append,
 # churn apply, ops-engine submit). BENCH_seed.json was produced from this

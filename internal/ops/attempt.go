@@ -49,7 +49,7 @@ func (e *Engine) attempt(o *op) {
 	case phaseCommit, phaseRelease, phaseRollback:
 		run, fail = e.ackStep(o, ph == phaseCommit)
 	case phaseAttrs:
-		run = func(report func(result)) { e.attrsStep(o, report) }
+		run, fail = e.attrsStep(o)
 	default:
 		fail = "unknown kind " + string(o.Kind)
 	}
@@ -219,30 +219,36 @@ func (e *Engine) ackStep(o *op, commit bool) (step, string) {
 }
 
 // attrsStep feeds o's updates through the node's ingest queue and reports
-// when the last one is acked; nothing can keep it from running. Acks fire
-// on the node's event context (or synchronously, also on it), so plain
-// counters are safe.
-func (e *Engine) attrsStep(o *op, report func(result)) {
-	remaining, applied := len(o.Updates), 0
-	var failures []string
-	for _, u := range o.Updates {
-		// The ack also carries whatever the returned error reports.
-		_ = e.node.IngestEnqueue(u.Name, u.Value, "ops/"+o.ID, func(err error) {
-			remaining--
-			if err != nil {
-				failures = append(failures, u.Name+": "+err.Error())
-			} else {
-				applied++
-			}
-			switch {
-			case remaining > 0:
-			case len(failures) == 0:
-				report(result{})
-			case applied == 0:
-				report(result{outcome: outcomePermanent, detail: strings.Join(failures, "; ")})
-			default:
-				report(result{detail: fmt.Sprintf("%d/%d updates rejected: %s", len(failures), len(o.Updates), strings.Join(failures, "; "))})
-			}
-		})
+// when the last one is acked. With no updates — a restored record whose
+// list was empty or did not decode — no ack would ever report, so that is
+// the one reason it cannot run. Acks fire on the node's event context (or
+// synchronously, also on it), so plain counters are safe.
+func (e *Engine) attrsStep(o *op) (step, string) {
+	if len(o.Updates) == 0 {
+		return nil, "no updates to apply"
 	}
+	return func(report func(result)) {
+		remaining, applied := len(o.Updates), 0
+		var failures []string
+		for _, u := range o.Updates {
+			// The ack also carries whatever the returned error reports.
+			_ = e.node.IngestEnqueue(u.Name, u.Value, "ops/"+o.ID, func(err error) {
+				remaining--
+				if err != nil {
+					failures = append(failures, u.Name+": "+err.Error())
+				} else {
+					applied++
+				}
+				switch {
+				case remaining > 0:
+				case len(failures) == 0:
+					report(result{})
+				case applied == 0:
+					report(result{outcome: outcomePermanent, detail: strings.Join(failures, "; ")})
+				default:
+					report(result{detail: fmt.Sprintf("%d/%d updates rejected: %s", len(failures), len(o.Updates), strings.Join(failures, "; "))})
+				}
+			})
+		}
+	}, ""
 }

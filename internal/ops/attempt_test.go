@@ -234,8 +234,10 @@ func TestAttrsAllRejectedFails(t *testing.T) {
 	}
 }
 
-// Restore meets records this build cannot run: an unknown kind, and a
-// commit whose source reserve ended failed. Both end failed, naming why.
+// Restore meets records this build cannot run: an unknown kind, a commit
+// whose source reserve ended failed, and attrs ops whose update list is
+// empty or does not decode (nothing to enqueue, so no ack would ever end
+// them). All end failed, naming why, instead of holding a worker slot.
 func TestRestoredUnrunnableOpsFail(t *testing.T) {
 	fed := newFed(t)
 	e := testEngine(fed, nil, Config{})
@@ -243,11 +245,26 @@ func TestRestoredUnrunnableOpsFail(t *testing.T) {
 		"op-x-1": {ID: "op-x-1", Kind: "teleport", State: string(StatePending)},
 		"op-x-2": {ID: "op-x-2", Kind: string(KindReserve), State: string(StateFailed), Error: "boom"},
 		"op-x-3": {ID: "op-x-3", Kind: string(KindCommit), State: string(StatePending), FromOp: "op-x-2"},
+		"op-x-4": {ID: "op-x-4", Kind: string(KindAttrs), State: string(StateRunning)},
+		"op-x-5": {ID: "op-x-5", Kind: string(KindAttrs), State: string(StatePending), Updates: `[{"name":`},
 	})
-	if n != 2 {
-		t.Fatalf("Restore requeued %d, want 2", n)
+	if n != 4 {
+		t.Fatalf("Restore requeued %d, want 4", n)
 	}
-	driveUntil(t, fed, "both terminal", func() bool { return terminal(e, "op-x-1")() && terminal(e, "op-x-3")() })
+	driveUntil(t, fed, "all terminal", func() bool {
+		return terminal(e, "op-x-1")() && terminal(e, "op-x-3")() && terminal(e, "op-x-4")() && terminal(e, "op-x-5")()
+	})
+	for _, id := range []string{"op-x-4", "op-x-5"} {
+		if op, _ := e.Get(id); op.State != StateFailed || op.Error != "no updates to apply" {
+			t.Fatalf("attrs op without updates = %+v", op)
+		}
+	}
+	e.mu.Lock()
+	held := e.runningN
+	e.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("%d worker slots still held", held)
+	}
 	if op, _ := e.Get("op-x-1"); op.State != StateFailed || op.Error != "unknown kind teleport" {
 		t.Fatalf("unknown-kind op = %+v", op)
 	}

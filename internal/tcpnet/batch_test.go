@@ -4,24 +4,24 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"rbay/internal/transport"
 )
 
-// TestBatchCoalescing: a burst of small sends inside one flush window must
-// arrive complete and in order, and the stats must show that they traveled
-// coalesced into batch frames rather than one frame each.
+// TestBatchCoalescing: there is no flush window — batching comes from
+// load alone. A burst sent faster than one write syscall completes must
+// arrive complete and in order, and the stats must show that what piled up
+// behind the writer traveled in batch frames rather than one frame each.
 func TestBatchCoalescing(t *testing.T) {
 	table := map[transport.Addr]string{}
 	resolver := func(a transport.Addr) (string, error) { return StaticResolver(table)(a) }
 
-	n1, err := ListenConfig("127.0.0.1:0", resolver, Config{FlushInterval: 20 * time.Millisecond})
+	n1, err := Listen("127.0.0.1:0", resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	n2, err := Listen("127.0.0.1:0", resolver)
+	n2, err := ListenConfig("127.0.0.1:0", resolver, Config{Overflow: Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBatchCoalescing(t *testing.T) {
 	var got collect
 	n2.NewEndpoint(addr("b", "h2"), func(_ transport.Addr, m any) { got.add(m) })
 
-	const burst = 50
+	const burst = 2000
 	for i := 0; i < burst; i++ {
 		if err := e1.Send(addr("b", "h2"), i); err != nil {
 			t.Fatal(err)
@@ -51,16 +51,14 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestBatchSizeCapFlush: crossing BatchBytes must flush synchronously and
-// keep ordering, including messages too large to batch at all.
+// TestBatchSizeCapFlush: a sender that reaches BatchBytes waits for the
+// writer, and ordering holds across that hand-off, including messages too
+// large to batch at all.
 func TestBatchSizeCapFlush(t *testing.T) {
 	table := map[transport.Addr]string{}
 	resolver := func(a transport.Addr) (string, error) { return StaticResolver(table)(a) }
 
-	n1, err := ListenConfig("127.0.0.1:0", resolver, Config{
-		FlushInterval: 50 * time.Millisecond,
-		BatchBytes:    512,
-	})
+	n1, err := ListenConfig("127.0.0.1:0", resolver, Config{BatchBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,14 @@ func plantConn(n *Network, hostport string, c net.Conn, peers ...transport.Addr)
 }
 
 // TestSendRedialsStaleConn reproduces the stale-connection bug: a cached
-// conn whose socket has died must not poison the next Send. The send path
-// has to drop it, redial, and deliver within the same call. Batching is
-// disabled so the write error surfaces synchronously inside Send.
+// conn whose socket has died must not poison the next Send. On the default
+// Config the connection's writer sees the failed write; it has to drop the
+// conn, redial, and deliver the message it was holding.
 func TestSendRedialsStaleConn(t *testing.T) {
 	table := map[transport.Addr]string{}
 	resolver := func(a transport.Addr) (string, error) { return StaticResolver(table)(a) }
 
-	n1, err := ListenConfig("127.0.0.1:0", resolver, Config{FlushInterval: -1})
+	n1, err := Listen("127.0.0.1:0", resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +66,21 @@ func TestSendRedialsStaleConn(t *testing.T) {
 	}
 }
 
-// TestSendFailureStartsReconnect is the regression test for the send-path
-// reconnect-suppression bug: Network.send retires a stale conn with
-// connDead(cc, false), and because connDead is first-caller-wins, a send
-// that beats the conn read loop to it used to permanently suppress
-// background reconnect — and therefore OnPeerDown — for a genuinely dead
-// peer. The peer here is killed mid-send (no read loop ever sees the
-// death: the planted conn has none), so only the send path can detect it;
-// after the synchronous retry budget is exhausted, reconnect must still
-// run and OnPeerDown must still fire.
+// TestSendFailureStartsReconnect is the regression test for the
+// reconnect-suppression bug: the writer retires a conn whose write failed
+// with connDead(cc, false), and because connDead is first-caller-wins,
+// beating the conn read loop to it must not suppress background reconnect
+// — and therefore OnPeerDown — for a genuinely dead peer. The peer here is
+// already gone and the planted conn has no read loop, so only the write
+// can detect it: the redial within the SendRetries budget fails, the
+// message is counted in SendFailures, and then reconnect must still run
+// and OnPeerDown must still fire. Send itself returns nil: a write failure
+// on a cached connection is not a synchronous error.
 func TestSendFailureStartsReconnect(t *testing.T) {
 	table := map[transport.Addr]string{}
 	resolver := func(a transport.Addr) (string, error) { return StaticResolver(table)(a) }
 
 	n1, err := ListenConfig("127.0.0.1:0", resolver, Config{
-		FlushInterval:     -1, // sync writes: the send itself sees the failure
 		SendRetries:       1,
 		ReconnectAttempts: 1,
 		BackoffMin:        5 * time.Millisecond,
@@ -121,15 +121,16 @@ func TestSendFailureStartsReconnect(t *testing.T) {
 	_ = c2.Close()
 	plantConn(n1, hostport, c1, peer)
 
-	// Mid-send the writes fail, the redial fails (peer is gone), and the
+	// The write fails, the writer's redial fails (peer is gone), and the
 	// retry budget runs out.
-	if err := e1.Send(peer, "doomed"); err == nil {
-		t.Fatal("send to dead peer should fail")
+	if err := e1.Send(peer, "doomed"); err != nil {
+		t.Fatalf("send over a cached conn should be accepted, got %v", err)
 	}
+	waitFor(t, func() bool { return n1.Stats().SendFailures == 1 })
 
-	// The fix: exhausting the synchronous budget hands the peer to the
-	// background reconnect loop, which exhausts its own budget and
-	// declares the peer down.
+	// The fix: exhausting that budget hands the peer to the background
+	// reconnect loop, which exhausts its own budget and declares the peer
+	// down.
 	waitFor(t, func() bool {
 		downMu.Lock()
 		defer downMu.Unlock()

@@ -4,9 +4,11 @@
 // real machines.
 //
 // Messages travel as length-prefixed binary frames (internal/wire, see
-// docs/WIRE.md): each cached peer connection coalesces small data frames
-// written within a short flush window into one batch frame — one syscall
-// for a burst of aggregate updates, announces, or probe acks.
+// docs/WIRE.md). Each cached peer connection has one writer goroutine
+// that owns the socket's write side: a message leaves as soon as the
+// writer is free, and whatever piled up while the previous write was in
+// flight travels as one batch frame — one syscall for a burst of aggregate
+// updates, announces, or probe acks, and no timer on an idle connection.
 //
 // Each Network owns one listener; all endpoints attached to it share the
 // listener and are demultiplexed by the frame's To address. Every endpoint
@@ -15,8 +17,9 @@
 //
 // The transport is hardened for long-lived daemons: cached peer
 // connections are health-checked with lightweight ping/pong heartbeats, a
-// failed send drops the stale connection and redials within the same call,
-// dead peers are redialed in the background with capped exponential
+// failed write drops the stale connection, redials and rewrites the batch
+// it was holding, Close drains what Send already accepted, dead peers are
+// redialed in the background with capped exponential
 // backoff, and peers that stay dead are surfaced through OnPeerDown so the
 // overlay's repair protocol can fire. Delivery stays best-effort: protocol
 // code already tolerates loss via its own timeouts.
@@ -66,25 +69,22 @@ const (
 	Block
 )
 
-// Config tunes the transport's wire format and resilience machinery. The
+// Config tunes the transport's batching cap and resilience machinery. The
 // zero value means "use the default"; negative values disable the
 // corresponding feature where that is meaningful.
 type Config struct {
-	// FlushInterval is the age cap on the per-peer write coalescer: a
-	// data frame may sit in the batch buffer at most this long before it
-	// is written. Default 500µs. Negative disables batching entirely —
-	// every message is written synchronously in its own frame (lowest
-	// latency, one syscall per message).
-	FlushInterval time.Duration
-	// BatchBytes is the size cap on one batch frame; reaching it flushes
-	// synchronously from the sending goroutine (so write errors feed the
-	// send retry path). Default 64KiB.
+	// BatchBytes caps what may wait for a connection's writer, and so the
+	// size of one batch frame: a Send that would grow the pending buffer
+	// past it blocks until the writer has taken the buffer (back-pressure
+	// from a peer that reads slowly). Default 64KiB.
 	BatchBytes int
 	// DialTimeout bounds one TCP dial. Default 3s.
 	DialTimeout time.Duration
-	// SendRetries is how many times a failed Send redials and re-encodes
-	// before giving up with ErrUnreachable. Default 1 (one redial);
-	// negative disables retries.
+	// SendRetries is how many times a batch whose write failed is carried
+	// to a freshly dialed connection before its messages are counted as
+	// SendFailures, and how often Send itself retries after losing a race
+	// with a connection's retirement. Default 1 (one redial); negative
+	// disables retries.
 	SendRetries int
 	// BackoffMin/BackoffMax bound the per-peer exponential dial backoff:
 	// after a failed dial the peer is not redialed (sends fail fast)
@@ -109,9 +109,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
-	}
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = 64 << 10
 	}
@@ -214,32 +211,45 @@ type Network struct {
 	stats counters
 }
 
-// clientConn is one cached outbound connection. Its mutex guards the
-// writer state (the batch buffer), the frame sequence counter, and the
-// liveness bookkeeping.
+// closeDrain bounds how long Close lets the writers spend on what Send had
+// already accepted before the sockets are closed under them.
+const closeDrain = 200 * time.Millisecond
+
+// clientConn is one cached outbound connection. Only its writer goroutine
+// (writeLoop) writes to the socket; everyone else talks to the writer
+// through the fields below mu.
 type clientConn struct {
 	hostport string
+	c        net.Conn
 
 	mu        sync.Mutex
-	c         net.Conn
-	seq       uint64 // per-connection frame sequence (all kinds)
-	pend      *wire.Encoder
+	work      *sync.Cond    // the writer waits here for data, a ping, closing or dead
+	space     *sync.Cond    // senders held back by BatchBytes wait here
+	pend      *wire.Encoder // length-prefixed messages the writer has not taken yet; nil when empty
 	pendCount int
-	flush     *time.Timer
-	peers     map[transport.Addr]struct{} // overlay addrs routed through this conn
-	lastPong  time.Time
-	dead      bool
+	retried   int  // SendRetries already spent on pend by a retired connection's writer
+	pingDue   bool // the heartbeat loop wants a ping written
+	closing   bool // Close: write what is pending, accept nothing more, then retire
+
+	peers    map[transport.Addr]struct{} // overlay addrs routed through this conn
+	lastPong time.Time
+	dead     bool
 }
 
-// newClientConn wraps an established socket in a cached connection (the
-// dial path and tests share it).
+// newClientConn wraps an established socket in a cached connection and
+// starts its writer (the dial path and tests share it).
 func (n *Network) newClientConn(hostport string, c net.Conn) *clientConn {
-	return &clientConn{
+	cc := &clientConn{
 		hostport: hostport,
 		c:        c,
 		peers:    make(map[transport.Addr]struct{}),
 		lastPong: time.Now(),
 	}
+	cc.work = sync.NewCond(&cc.mu)
+	cc.space = sync.NewCond(&cc.mu)
+	n.wg.Add(1)
+	go n.writeLoop(cc)
+	return cc
 }
 
 func (cc *clientConn) track(to transport.Addr) {
@@ -251,143 +261,174 @@ func (cc *clientConn) track(to transport.Addr) {
 	cc.mu.Unlock()
 }
 
-func (cc *clientConn) peerList(extra transport.Addr) []transport.Addr {
+func (cc *clientConn) peerList() []transport.Addr {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	peers := make([]transport.Addr, 0, len(cc.peers)+1)
-	seen := false
+	peers := make([]transport.Addr, 0, len(cc.peers))
 	for a := range cc.peers {
-		if a == extra {
-			seen = true
-		}
 		peers = append(peers, a)
-	}
-	if !seen && !extra.IsZero() {
-		peers = append(peers, extra)
 	}
 	return peers
 }
 
 var errConnDead = errors.New("connection is dead")
 
-// writeData queues or writes one pre-encoded data-rest.
-// With batching enabled the message lands in the per-peer batch buffer
-// and nil is returned: the frame is written when the buffer reaches
-// BatchBytes (synchronously, errors returned here) or when the flush
-// timer fires (asynchronously, errors retire the connection toward
-// background reconnect). With batching disabled every call writes one
-// data frame synchronously.
-func (n *Network) writeData(cc *clientConn, rest []byte) error {
+// enqueue appends one pre-encoded data-rest to the pending buffer and
+// wakes the writer if the buffer was empty. A message that would grow the
+// buffer past batchBytes waits until the writer has taken it (one larger
+// than batchBytes travels alone), so a peer that reads slowly holds its
+// senders back instead of growing a queue; retiring or closing the
+// connection releases them with errConnDead.
+func (cc *clientConn) enqueue(rest []byte, batchBytes int) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.dead {
-		return errConnDead
-	}
-	if n.cfg.FlushInterval < 0 {
-		return cc.writeDataFrameLocked(rest)
-	}
-	// Oversized for one batch: flush what's pending (order!) and write
-	// the message as its own frame.
-	if len(rest)+2*binary.MaxVarintLen64 >= n.cfg.BatchBytes {
-		if err := n.flushLocked(cc); err != nil {
-			return err
+	for {
+		if cc.dead || cc.closing {
+			return errConnDead
 		}
-		return cc.writeDataFrameLocked(rest)
+		if cc.pendCount == 0 || cc.pend.Len()+binary.MaxVarintLen32+len(rest) <= batchBytes {
+			break
+		}
+		cc.space.Wait()
 	}
 	if cc.pend == nil {
 		cc.pend = wire.GetEncoder()
 	}
 	cc.pend.Uvarint(uint64(len(rest)))
 	cc.pend.Append(rest)
-	cc.pendCount++
-	if cc.pendCount == 1 {
-		cc.flush = time.AfterFunc(n.cfg.FlushInterval, func() { n.flushConn(cc) })
-	}
-	if cc.pend.Len() >= n.cfg.BatchBytes {
-		return n.flushLocked(cc)
+	if cc.pendCount++; cc.pendCount == 1 {
+		cc.work.Signal()
 	}
 	return nil
 }
 
-// writeDataFrameLocked writes one data frame carrying rest.
-func (cc *clientConn) writeDataFrameLocked(rest []byte) error {
-	f := wire.GetEncoder()
-	defer wire.PutEncoder(f)
-	cc.seq++
-	at := f.BeginFrame(wire.KindData, cc.seq)
-	f.Append(rest)
-	f.EndFrame(at)
-	_, err := cc.c.Write(f.Bytes())
-	return err
-}
-
-// flushLocked writes the pending batch (if any) as one frame — a plain
-// data frame when a single message is pending, a batch frame otherwise.
-func (n *Network) flushLocked(cc *clientConn) error {
-	if cc.pendCount == 0 {
-		return nil
-	}
-	if cc.flush != nil {
-		cc.flush.Stop()
-		cc.flush = nil
-	}
-	pend, count := cc.pend, cc.pendCount
-	cc.pend, cc.pendCount = nil, 0
-	defer wire.PutEncoder(pend)
-
-	f := wire.GetEncoder()
-	defer wire.PutEncoder(f)
-	cc.seq++
-	if count == 1 {
-		// Strip the entry's length prefix and send a plain data frame.
-		b := pend.Bytes()
-		_, nn := binary.Uvarint(b)
-		at := f.BeginFrame(wire.KindData, cc.seq)
-		f.Append(b[nn:])
-		f.EndFrame(at)
-	} else {
-		at := f.BeginFrame(wire.KindBatch, cc.seq)
-		f.Uvarint(uint64(count))
-		f.Append(pend.Bytes())
-		f.EndFrame(at)
-		n.stats.batchFrames.Add(1)
-		n.stats.batchedMessages.Add(uint64(count))
-	}
-	_, err := cc.c.Write(f.Bytes())
-	return err
-}
-
-// flushConn is the flush timer's callback: an asynchronous write failure
-// here retires the connection toward background reconnect (there is no
-// caller to hand the error to).
-func (n *Network) flushConn(cc *clientConn) {
-	cc.mu.Lock()
-	if cc.dead {
-		cc.mu.Unlock()
-		return
-	}
-	err := n.flushLocked(cc)
-	cc.mu.Unlock()
-	if err != nil {
-		n.connDead(cc, true)
-	}
-}
-
-// writePing writes one heartbeat frame synchronously. Heartbeats never
-// batch: the liveness verdict depends on the write error surfacing now.
-func (cc *clientConn) writePing() error {
+// adopt hands cc a batch that a retired connection's writer was holding
+// when its write failed. Like any sender it waits for an empty buffer, so
+// the batch stays one frame of the size it already had.
+func (cc *clientConn) adopt(held *wire.Encoder, count, retried int, peers []transport.Addr) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.dead {
-		return errConnDead
+	for cc.pendCount > 0 && !cc.dead && !cc.closing {
+		cc.space.Wait()
 	}
-	f := wire.GetEncoder()
-	defer wire.PutEncoder(f)
-	cc.seq++
-	at := f.BeginFrame(wire.KindPing, cc.seq)
-	f.EndFrame(at)
-	_, err := cc.c.Write(f.Bytes())
-	return err
+	if cc.dead || cc.closing {
+		return false
+	}
+	cc.pend, cc.pendCount, cc.retried = held, count, retried
+	for _, a := range peers {
+		cc.peers[a] = struct{}{}
+	}
+	cc.work.Signal()
+	return true
+}
+
+// drain is Close's half of the shutdown hand-off: the writer writes what
+// is pending, under a deadline so a peer that has stopped reading cannot
+// hold Close up, and then retires the connection.
+func (cc *clientConn) drain(deadline time.Time) {
+	_ = cc.c.SetWriteDeadline(deadline) // a conn that cannot take one fails its write instead
+	cc.mu.Lock()
+	cc.closing = true
+	cc.work.Signal()
+	cc.space.Broadcast()
+	cc.mu.Unlock()
+}
+
+// writeLoop is the connection's writer. It swaps the pending buffer out,
+// writes it as one frame with mu released — a plain data frame for one
+// message, a batch frame for more — and loops until nothing is pending, so
+// an idle connection pays one goroutine hand-off per message and a busy one
+// batches exactly what arrived while the previous write was in flight.
+// Pings go out ahead of the data, in a frame of their own.
+func (n *Network) writeLoop(cc *clientConn) {
+	defer n.wg.Done()
+	var seq uint64 // per-connection frame sequence (all kinds)
+	for {
+		cc.mu.Lock()
+		for !cc.dead && !cc.closing && !cc.pingDue && cc.pendCount == 0 {
+			cc.work.Wait()
+		}
+		if cc.dead {
+			cc.mu.Unlock()
+			return
+		}
+		if !cc.pingDue && cc.pendCount == 0 { // closing, and drained
+			cc.mu.Unlock()
+			n.connDead(cc, false)
+			return
+		}
+		ping, pend, count, retried := cc.pingDue, cc.pend, cc.pendCount, cc.retried
+		cc.pingDue, cc.pend, cc.pendCount, cc.retried = false, nil, 0, 0
+		cc.space.Broadcast()
+		cc.mu.Unlock()
+
+		f := wire.GetEncoder()
+		if ping {
+			seq++
+			f.EndFrame(f.BeginFrame(wire.KindPing, seq))
+		}
+		switch {
+		case count == 1:
+			// Strip the entry's length prefix and send a plain data frame.
+			b := pend.Bytes()
+			_, nn := binary.Uvarint(b)
+			seq++
+			at := f.BeginFrame(wire.KindData, seq)
+			f.Append(b[nn:])
+			f.EndFrame(at)
+		case count > 1:
+			seq++
+			at := f.BeginFrame(wire.KindBatch, seq)
+			f.Uvarint(uint64(count))
+			f.Append(pend.Bytes())
+			f.EndFrame(at)
+		}
+		_, err := cc.c.Write(f.Bytes())
+		wire.PutEncoder(f)
+		if err != nil {
+			n.writeFailed(cc, pend, count, retried)
+			return
+		}
+		if ping {
+			n.stats.heartbeatsSent.Add(1)
+		}
+		if count > 1 {
+			n.stats.batchFrames.Add(1)
+			n.stats.batchedMessages.Add(uint64(count))
+		}
+		if pend != nil {
+			wire.PutEncoder(pend)
+		}
+	}
+}
+
+// writeFailed is where a write error on a cached connection is handled: on
+// the writer that saw it, still holding the batch (count messages; none
+// when only a ping was due). The stale connection is retired, the batch is
+// carried to a fresh one within what is left of the SendRetries budget —
+// counted per message, as send counts — and only when that fails is the
+// peer handed to the background reconnect loop and, in the end, OnPeerDown.
+func (n *Network) writeFailed(cc *clientConn, held *wire.Encoder, count, retried int) {
+	n.connDead(cc, false)
+	peers := cc.peerList()
+	if count > 0 {
+		for retried < n.cfg.SendRetries {
+			retried++
+			n.stats.sendRetries.Add(uint64(count))
+			fresh, err := n.conn(cc.hostport, transport.Addr{})
+			if err != nil {
+				// Dialing failed (or is backoff-suppressed); an immediate
+				// retry cannot help.
+				break
+			}
+			if fresh.adopt(held, count, retried, peers) {
+				return
+			}
+		}
+		wire.PutEncoder(held)
+		n.stats.sendFailures.Add(uint64(count))
+	}
+	n.ensureReconnect(cc.hostport, peers)
 }
 
 // Listen starts a network listening on the given TCP address ("":0 for an
@@ -452,7 +493,9 @@ func (n *Network) OnPeerDown(cb func(transport.Addr)) {
 }
 
 // Close shuts the listener, all endpoints, and all liveness goroutines
-// down.
+// down. Messages Send had accepted are written first (each connection's
+// writer gets closeDrain to finish), so a departing node's last words
+// reach the wire.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -474,16 +517,11 @@ func (n *Network) Close() error {
 	n.accepted = map[net.Conn]struct{}{}
 	n.mu.Unlock()
 
-	err := n.listener.Close()
+	deadline := time.Now().Add(closeDrain)
 	for _, cc := range conns {
-		cc.mu.Lock()
-		if cc.flush != nil {
-			cc.flush.Stop()
-			cc.flush = nil
-		}
-		cc.mu.Unlock()
-		_ = cc.c.Close()
+		cc.drain(deadline)
 	}
+	err := n.listener.Close()
 	for _, c := range accepted {
 		_ = c.Close()
 	}
@@ -650,8 +688,10 @@ func (n *Network) send(from, to transport.Addr, msg any) error {
 		return fmt.Errorf("tcpnet: message to %v exceeds max frame (%d bytes)", to, rest.Len())
 	}
 
+	// A write failure is the writer's to handle (writeFailed); the loop
+	// here is for the send that finds its connection retired between the
+	// lookup and the enqueue, and dials afresh.
 	var lastErr error
-	var lastCC *clientConn
 	for attempt := 0; attempt <= n.cfg.SendRetries; attempt++ {
 		if attempt > 0 {
 			n.stats.sendRetries.Add(1)
@@ -663,25 +703,11 @@ func (n *Network) send(from, to transport.Addr, msg any) error {
 			lastErr = err
 			break
 		}
-		err = n.writeData(cc, rest.Bytes())
-		if err == nil {
+		if lastErr = cc.enqueue(rest.Bytes(), n.cfg.BatchBytes); lastErr == nil {
 			return nil
 		}
-		// Stale cached connection (peer restarted, socket reset): drop it
-		// so the next attempt dials fresh and the retry can succeed.
-		lastErr = err
-		lastCC = cc
-		n.connDead(cc, false)
 	}
 	n.stats.sendFailures.Add(1)
-	// The synchronous retry budget is exhausted. If any attempt reached a
-	// connection (write failure, not dial failure), hand the peer to the
-	// background reconnect machinery: the conn's read loop may have lost
-	// the connDead race to the send path above, in which case nothing
-	// else will ever redial or declare the peer down.
-	if lastCC != nil {
-		n.ensureReconnect(hostport, lastCC.peerList(to))
-	}
 	return fmt.Errorf("%w: send to %s: %v", transport.ErrUnreachable, hostport, lastErr)
 }
 
@@ -814,66 +840,63 @@ func (n *Network) heartbeatLoop(cc *clientConn) {
 			return
 		}
 		stale := time.Since(cc.lastPong) > time.Duration(n.cfg.HeartbeatMisses)*n.cfg.HeartbeatInterval
+		if !stale {
+			// The writer owns the socket; a failed ping retires the
+			// connection from there.
+			cc.pingDue = true
+			cc.work.Signal()
+		}
 		cc.mu.Unlock()
 		if stale {
 			n.stats.heartbeatTimeouts.Add(1)
 			n.connDead(cc, true)
 			return
 		}
-		if err := cc.writePing(); err != nil {
-			n.connDead(cc, true)
-			return
-		}
-		n.stats.heartbeatsSent.Add(1)
 	}
 }
 
-// connDead retires a cached connection exactly once. With reconnect set,
-// a background redial loop is started (unless one is already running for
-// the peer); if it exhausts its budget the peer's addresses are reported
-// through OnPeerDown.
+// connDead retires a cached connection exactly once: it leaves the cache
+// in the same step that marks it dead (so a sender turned away by a dead
+// connection finds none cached and dials), what was pending is dropped,
+// and the writer and any senders it was holding back are woken. With
+// reconnect set, a background redial loop is started (unless one is already
+// running for the peer); if it exhausts its budget the peer's addresses are
+// reported through OnPeerDown.
 func (n *Network) connDead(cc *clientConn, reconnect bool) {
+	n.mu.Lock()
 	cc.mu.Lock()
 	if cc.dead {
 		cc.mu.Unlock()
+		n.mu.Unlock()
 		return
 	}
 	cc.dead = true
-	if cc.flush != nil {
-		cc.flush.Stop()
-		cc.flush = nil
-	}
 	if cc.pend != nil {
 		wire.PutEncoder(cc.pend)
-		cc.pend = nil
-		cc.pendCount = 0
+		cc.pend, cc.pendCount = nil, 0
 	}
-	peers := make([]transport.Addr, 0, len(cc.peers))
-	for a := range cc.peers {
-		peers = append(peers, a)
-	}
+	cc.work.Signal()
+	cc.space.Broadcast()
 	cc.mu.Unlock()
-	_ = cc.c.Close()
-	n.stats.connDrops.Add(1)
-
-	n.mu.Lock()
 	if n.conns[cc.hostport] == cc {
 		delete(n.conns, cc.hostport)
 	}
 	if reconnect && !n.closed && !n.redialing[cc.hostport] {
 		n.redialing[cc.hostport] = true
 		n.wg.Add(1)
-		go n.reconnect(cc.hostport, peers)
+		go n.reconnect(cc.hostport, cc.peerList())
 	}
 	n.mu.Unlock()
+	_ = cc.c.Close()
+	n.stats.connDrops.Add(1)
 }
 
 // ensureReconnect starts the background redial loop for a peer unless one
-// is already running or a live connection exists. The send path calls it
-// after exhausting its synchronous retry budget: connDead(cc, false) from
-// a failed send is first-caller-wins against the conn read loop's
-// connDead(cc, true), so winning that race must not suppress reconnect
-// (and ultimately OnPeerDown) for a genuinely dead peer.
+// is already running or a live connection exists. The writer calls it once
+// a failed write could not be carried to a fresh connection: it retired the
+// connection itself, and winning that race against the conn read loop must
+// not suppress reconnect (and ultimately OnPeerDown) for a genuinely dead
+// peer.
 func (n *Network) ensureReconnect(hostport string, peers []transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

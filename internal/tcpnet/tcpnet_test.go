@@ -44,6 +44,51 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never met")
 }
 
+// pair is two networks on loopback, a → b, with b's deliveries never
+// dropped (Overflow: Block) so a test can count them.
+func pair(t testing.TB, cfg Config) (a, b *Network, aAddr, bAddr transport.Addr) {
+	t.Helper()
+	table := map[transport.Addr]string{}
+	resolver := func(x transport.Addr) (string, error) { return StaticResolver(table)(x) }
+	a, err := ListenConfig("127.0.0.1:0", resolver, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	b, err = ListenConfig("127.0.0.1:0", resolver, Config{Overflow: Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	aAddr, bAddr = addr("a", "h1"), addr("b", "h2")
+	table[aAddr] = a.ListenAddr()
+	table[bAddr] = b.ListenAddr()
+	return a, b, aAddr, bAddr
+}
+
+// pingPong returns a function that sends one small message from a to b and
+// waits for b's echo, on default Configs, with both directions dialed.
+func pingPong(t testing.TB) (roundTrip func()) {
+	t.Helper()
+	n1, n2, a1, a2 := pair(t, Config{})
+	pong := make(chan struct{}, 1)
+	e1, _ := n1.NewEndpoint(a1, func(transport.Addr, any) { pong <- struct{}{} })
+	var e2 transport.Endpoint
+	e2, _ = n2.NewEndpoint(a2, func(from transport.Addr, m any) { _ = e2.Send(from, m) })
+	roundTrip = func() {
+		if err := e1.Send(a2, 1); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-pong:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no reply")
+		}
+	}
+	roundTrip()
+	return roundTrip
+}
+
 func TestLocalAndRemoteDelivery(t *testing.T) {
 	core.RegisterWire()
 	var table map[transport.Addr]string
