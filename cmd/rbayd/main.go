@@ -214,7 +214,7 @@ func run(args []string) error {
 		joined := make(chan struct{})
 		var joinErr error
 		node.Node.DoWait(func() {
-			joinErr = node.Node.Pastry().JoinGlobal(peers2addr(peers, seed), func() { close(joined) })
+			joinErr = node.Node.Pastry().JoinGlobal(seed, func() { close(joined) })
 		})
 		if joinErr != nil {
 			return joinErr
@@ -225,7 +225,10 @@ func run(args []string) error {
 			return fmt.Errorf("join through %v timed out", seed)
 		}
 		if seed.Site == addr.Site {
-			node.Node.DoWait(func() { _ = node.Node.Pastry().JoinSite(seed, nil) })
+			node.Node.DoWait(func() { joinErr = node.Node.Pastry().JoinSite(seed, nil) })
+			if joinErr != nil {
+				return joinErr
+			}
 		}
 		fmt.Printf("rbayd: joined federation through %v\n", seed)
 	}
@@ -301,7 +304,3 @@ func run(args []string) error {
 	fmt.Println("rbayd: transport:", node.TransportStats())
 	return nil
 }
-
-// peers2addr returns the federation address itself (the resolver maps it
-// to TCP); it exists to keep the call sites readable.
-func peers2addr(_ map[rbay.Addr]string, a rbay.Addr) rbay.Addr { return a }

@@ -105,7 +105,6 @@ func DefaultNodeConfig() core.Config {
 		Pastry: pastry.Config{
 			ProbeInterval: time.Second,
 			ProbeTimeout:  900 * time.Millisecond,
-			RPCTimeout:    3 * time.Second,
 		},
 		Scribe: scribe.Config{
 			AggregateInterval: 300 * time.Millisecond,

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"rbay/internal/pastry"
 	"rbay/internal/transport"
 )
 
@@ -30,16 +31,6 @@ type AckResult struct {
 // AllMatched reports whether every owner honored the request.
 func (r AckResult) AllMatched() bool { return r.Unmatched == 0 && r.Lost == 0 }
 
-// ackGroup tracks one fan-out's outstanding acks.
-type ackGroup struct {
-	remaining int
-	ids       []uint64
-	res       AckResult
-	cb        func(AckResult)
-	cancel    transport.CancelFunc
-	done      bool
-}
-
 // CommitAcked leases the candidates to the query like Commit, but
 // confirms each owner's decision. Must run on the node's event context;
 // cb fires there exactly once, when every owner answered or the timeout
@@ -61,10 +52,31 @@ func (n *Node) ackedSend(queryID string, cands []Candidate, commit bool, timeout
 	if timeout <= 0 {
 		timeout = n.cfg.SiteQueryTimeout
 	}
-	g := &ackGroup{remaining: len(cands), cb: cb}
+	// One fan-out: every owner's request waits in pastry's table under its
+	// own ID, all of them under the group's single deadline.
+	var (
+		res      AckResult
+		sent     []uint64
+		deadline transport.CancelFunc
+	)
+	remaining := len(cands)
+	settled := func(reply any, err error) {
+		switch a, _ := reply.(opAck); {
+		case err != nil:
+			res.Lost++
+		case a.Matched:
+			res.Matched++
+		default:
+			res.Unmatched++
+		}
+		remaining--
+		if remaining == 0 && deadline != nil {
+			deadline()
+			cb(res)
+		}
+	}
 	for _, c := range cands {
-		n.nextReq++
-		id := n.nextReq
+		id := n.p.Await(0, opAck{}, settled)
 		var msg any
 		if commit {
 			msg = commitReq{QueryID: queryID, ReqID: id}
@@ -72,56 +84,34 @@ func (n *Node) ackedSend(queryID string, cands []Candidate, commit bool, timeout
 			msg = releaseReq{QueryID: queryID, ReqID: id}
 		}
 		if err := n.p.SendApp(c.Addr, AppName, msg); err != nil {
-			g.res.Lost++
-			g.remaining--
+			n.p.Settle(id, nil, err)
 			continue
 		}
-		n.pendingAck[id] = g
-		g.ids = append(g.ids, id)
+		sent = append(sent, id)
 	}
-	if g.remaining == 0 {
+	if remaining == 0 {
 		// Nothing in flight (empty candidate list or every send failed):
 		// report synchronously.
-		g.done = true
-		cb(g.res)
+		cb(res)
 		return
 	}
-	g.cancel = n.p.After(timeout, func() {
-		if g.done {
-			return
+	deadline = n.p.After(timeout, func() {
+		deadline = nil // the deadline reports; the requests it settles must not
+		for _, id := range sent {
+			n.p.Settle(id, nil, pastry.ErrTimeout)
 		}
-		for _, id := range g.ids {
-			if n.pendingAck[id] == g {
-				delete(n.pendingAck, id)
-				g.res.Lost++
-			}
-		}
-		g.done = true
-		n.metrics.Add("rbay_op_acks_lost_total", uint64(g.res.Lost))
-		g.cb(g.res)
+		n.metrics.Add("rbay_op_acks_lost_total", uint64(res.Lost))
+		cb(res)
 	})
 }
 
-func (n *Node) handleOpAck(a opAck) {
-	g, ok := n.pendingAck[a.ReqID]
-	if !ok {
+// handleOpAck and the other reply handlers take the reply twice: typed,
+// and as the interface value it arrived in, which goes to Settle as is —
+// boxing the typed copy again would allocate on every reply.
+func (n *Node) handleOpAck(a opAck, boxed any) {
+	if !n.p.Settle(a.ReqID, boxed, nil) {
 		// Late ack after the group's deadline; the caller already counted
 		// this owner as lost and will retry idempotently.
 		n.metrics.Inc("rbay_op_acks_late_total")
-		return
-	}
-	delete(n.pendingAck, a.ReqID)
-	if a.Matched {
-		g.res.Matched++
-	} else {
-		g.res.Unmatched++
-	}
-	g.remaining--
-	if g.remaining == 0 && !g.done {
-		g.done = true
-		if g.cancel != nil {
-			g.cancel()
-		}
-		g.cb(g.res)
 	}
 }

@@ -135,10 +135,7 @@ type Node struct {
 	reserved *reservation
 
 	// Query-interface state.
-	nextReq    uint64
-	nextQuery  uint64
-	pendingSQ  map[uint64]*siteQueryCall
-	pendingAck map[uint64]*ackGroup
+	nextQuery uint64
 	// idPrefix is the node's pre-rendered "site/host#" query-ID prefix, so
 	// minting a query ID is one small-int format plus one concat.
 	idPrefix string
@@ -181,12 +178,9 @@ type Node struct {
 
 	// Materialized query views (see view.go): views this node owns, keyed
 	// by canonical query text; subscriptions this node serves as a tree
-	// member, keyed by owner+view; and the in-flight view-reservation and
-	// view-admin round trips.
-	views     map[string]*viewState
-	viewSubs  map[string]*viewSub
-	pendingVR map[uint64]*viewReserveCall
-	pendingVA map[uint64]*viewAdminCall
+	// member, keyed by owner+view.
+	views    map[string]*viewState
+	viewSubs map[string]*viewSub
 }
 
 // QueryRecord is one finished query kept in the node's recent-query ring
@@ -297,16 +291,12 @@ func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, c
 		reg:        reg,
 		rng:        rand.New(rand.NewSource(int64(p.ID().Leading64()))),
 		subscribed: make(map[ids.ID]*naming.TreeDef),
-		pendingSQ:  make(map[uint64]*siteQueryCall),
-		pendingAck: make(map[uint64]*ackGroup),
 		admin:      addr.Site + "-admin",
 		predictor:  forecast.NewPredictor(0),
 		metrics:    reg2,
 		idPrefix:   addr.String() + "#",
 		views:      make(map[string]*viewState),
 		viewSubs:   make(map[string]*viewSub),
-		pendingVR:  make(map[uint64]*viewReserveCall),
-		pendingVA:  make(map[uint64]*viewAdminCall),
 	}
 	// Declare the query-path metric surface up front so the first query a
 	// node serves doesn't pay lazy histogram construction mid-request.
@@ -825,11 +815,11 @@ func (n *Node) Direct(_ *pastry.Node, from pastry.Entry, payload any) {
 			_ = n.p.SendApp(from.Addr, AppName, opAck{ReqID: p.ReqID, Matched: matched})
 		}
 	case opAck:
-		n.handleOpAck(p)
+		n.handleOpAck(p, payload)
 	case siteQueryReq:
 		n.serveSiteQuery(p)
 	case siteQueryResp:
-		n.handleSiteQueryResp(p)
+		n.handleSiteQueryResp(p, payload)
 	case viewSiteReg:
 		n.relayViewReg(p)
 	case viewUpdateMsg:
@@ -838,10 +828,10 @@ func (n *Node) Direct(_ *pastry.Node, from pastry.Entry, payload any) {
 		resp := n.serveViewReserve(p)
 		_ = n.p.SendApp(p.Origin.Addr, AppName, resp)
 	case viewReserveResp:
-		n.handleViewReserveResp(p)
+		n.handleViewReserveResp(p, payload)
 	case viewAdminReq:
 		n.serveViewAdmin(p)
 	case viewAdminResp:
-		n.handleViewAdminResp(p)
+		n.p.Settle(p.ReqID, payload, nil)
 	}
 }

@@ -49,7 +49,7 @@ func reservedCount(fed *Federation, site string) int {
 // reservation leak: the origin's site-query timeout fires before the remote
 // site's response arrives, so the response's candidates hold reservations
 // nobody will ever commit or release. The fix releases them from
-// handleSiteQueryResp's late path; with ReserveTTL far above the test
+// the late path of handleSiteQueryResp; with ReserveTTL far above the test
 // horizon, any leak is directly visible.
 func TestLateSiteResponseReleasesReservations(t *testing.T) {
 	cfg := fastConfig()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rbay/internal/naming"
+	"rbay/internal/pastry"
 	"rbay/internal/query"
 	"rbay/internal/scribe"
 	"rbay/internal/trace"
@@ -57,12 +58,6 @@ type SiteStats struct {
 	TreeSize int64
 	// Err is the site's error from the latest round ("" when it answered).
 	Err string
-}
-
-// siteQueryCall tracks one in-flight cross-site sub-query.
-type siteQueryCall struct {
-	cb     func(siteQueryResp)
-	cancel transport.CancelFunc
 }
 
 // queryRun tracks a multi-round query execution at its query interface.
@@ -434,50 +429,39 @@ func (n *Node) siteQuery(site string, req siteQueryReq, cb func(siteQueryResp)) 
 		n.runSiteQuery(req, cb)
 		return
 	}
-	n.nextReq++
-	req.ReqID = n.nextReq
-	call := &siteQueryCall{cb: cb}
-	call.cancel = n.p.After(n.cfg.SiteQueryTimeout, func() {
-		if _, w := n.pendingSQ[req.ReqID]; w {
-			delete(n.pendingSQ, req.ReqID)
+	req.ReqID = n.p.Await(n.cfg.SiteQueryTimeout, siteQueryResp{}, func(reply any, err error) {
+		switch {
+		case errors.Is(err, pastry.ErrTimeout):
 			n.metrics.Inc("rbay_site_query_timeouts_total")
 			cb(siteQueryResp{Site: site, Err: "site query timed out"})
+		case err != nil:
+			cb(siteQueryResp{Site: site, Err: err.Error() + " " + site})
+		default:
+			cb(reply.(siteQueryResp))
 		}
 	})
-	n.pendingSQ[req.ReqID] = call
-
-	sent := false
 	for _, router := range n.dir.Routers[site] {
 		if err := n.p.SendApp(router, AppName, req); err == nil {
-			sent = true
-			break
+			return
 		}
 	}
-	if !sent {
-		delete(n.pendingSQ, req.ReqID)
-		call.cancel()
-		cb(siteQueryResp{Site: site, Err: ErrNoRouter.Error() + " " + site})
-	}
+	n.p.Settle(req.ReqID, nil, ErrNoRouter)
 }
 
-func (n *Node) handleSiteQueryResp(resp siteQueryResp) {
-	call, ok := n.pendingSQ[resp.ReqID]
-	if !ok {
-		// Late response: the request already timed out here, but the remote
-		// site reserved these candidates on our behalf. Release them now
-		// instead of leaving them locked until lease expiry.
-		n.metrics.Inc("rbay_site_query_late_responses_total")
-		if resp.QueryID != "" {
-			n.metrics.Add("rbay_reservations_released_late_total", uint64(len(resp.Candidates)))
-			for _, c := range resp.Candidates {
-				_ = n.p.SendApp(c.Addr, AppName, releaseReq{QueryID: resp.QueryID})
-			}
-		}
+func (n *Node) handleSiteQueryResp(resp siteQueryResp, boxed any) {
+	if n.p.Settle(resp.ReqID, boxed, nil) {
 		return
 	}
-	delete(n.pendingSQ, resp.ReqID)
-	call.cancel()
-	call.cb(resp)
+	// Late response: the request already timed out here, but the remote
+	// site reserved these candidates on our behalf. Release them now
+	// instead of leaving them locked until lease expiry.
+	n.metrics.Inc("rbay_site_query_late_responses_total")
+	if resp.QueryID != "" {
+		n.metrics.Add("rbay_reservations_released_late_total", uint64(len(resp.Candidates)))
+		for _, c := range resp.Candidates {
+			_ = n.p.SendApp(c.Addr, AppName, releaseReq{QueryID: resp.QueryID})
+		}
+	}
 }
 
 // serveSiteQuery runs a remote origin's sub-query inside this site and

@@ -110,17 +110,6 @@ func subKey(owner transport.Addr, key string) string {
 	return owner.String() + "\x00" + key
 }
 
-// viewReserveCall / viewAdminCall track in-flight round trips.
-type viewReserveCall struct {
-	cb     func(viewReserveResp)
-	cancel transport.CancelFunc
-}
-
-type viewAdminCall struct {
-	cb     func(ViewAdminResult)
-	cancel transport.CancelFunc
-}
-
 // ---------------------------------------------------------------------------
 // View messages
 
@@ -538,9 +527,7 @@ func (n *Node) serveViewReserve(req viewReserveReq) viewReserveResp {
 // asynchronously on the node's event context (including the self-target
 // and send-failure paths, so the caller's fan-out loop never re-enters).
 func (n *Node) viewReserve(v *viewState, r *queryRun, c Candidate, cb func(viewReserveResp)) {
-	n.nextReq++
 	req := viewReserveReq{
-		ReqID:    n.nextReq,
 		QueryID:  r.id,
 		Key:      v.key,
 		Preds:    r.q.Preds,
@@ -554,37 +541,30 @@ func (n *Node) viewReserve(v *viewState, r *queryRun, c Candidate, cb func(viewR
 		n.p.After(0, func() { cb(n.serveViewReserve(req)) })
 		return
 	}
-	call := &viewReserveCall{cb: cb}
-	call.cancel = n.p.After(n.cfg.SiteQueryTimeout, func() {
-		if _, w := n.pendingVR[req.ReqID]; w {
-			delete(n.pendingVR, req.ReqID)
+	req.ReqID = n.p.Await(n.cfg.SiteQueryTimeout, viewReserveResp{}, func(reply any, err error) {
+		switch {
+		case errors.Is(err, pastry.ErrTimeout):
 			n.metrics.Inc("rbay_view_reserve_timeouts_total")
-			cb(viewReserveResp{ReqID: req.ReqID, QueryID: r.id})
+			cb(viewReserveResp{QueryID: r.id})
+		case err != nil:
+			delete(v.entries, c.Addr) // unreachable member: drop the entry now
+			n.p.After(0, func() { cb(viewReserveResp{QueryID: r.id}) })
+		default:
+			cb(reply.(viewReserveResp))
 		}
 	})
-	n.pendingVR[req.ReqID] = call
 	if err := n.p.SendApp(c.Addr, AppName, req); err != nil {
-		delete(n.pendingVR, req.ReqID)
-		call.cancel()
-		delete(v.entries, c.Addr) // unreachable member: drop the entry now
-		n.p.After(0, func() { cb(viewReserveResp{ReqID: req.ReqID, QueryID: r.id}) })
+		n.p.Settle(req.ReqID, nil, err)
 	}
 }
 
-func (n *Node) handleViewReserveResp(resp viewReserveResp) {
-	call, ok := n.pendingVR[resp.ReqID]
-	if !ok {
-		// Late response after our timeout: the member reserved itself for a
-		// fan-out that has moved on. Unwind the lock instead of letting it
-		// sit until TTL expiry.
-		if resp.OK && resp.QueryID != "" {
-			_ = n.p.SendApp(resp.Cand.Addr, AppName, releaseReq{QueryID: resp.QueryID})
-		}
-		return
+func (n *Node) handleViewReserveResp(resp viewReserveResp, boxed any) {
+	// A late response after our timeout: the member reserved itself for a
+	// fan-out that has moved on. Unwind the lock instead of letting it sit
+	// until TTL expiry.
+	if !n.p.Settle(resp.ReqID, boxed, nil) && resp.OK && resp.QueryID != "" {
+		_ = n.p.SendApp(resp.Cand.Addr, AppName, releaseReq{QueryID: resp.QueryID})
 	}
-	delete(n.pendingVR, resp.ReqID)
-	call.cancel()
-	call.cb(resp)
 }
 
 // ---------------------------------------------------------------------------
@@ -671,21 +651,27 @@ type ViewAdminResult struct {
 // caller's behalf: "register"/"drop"/"read" take the SQL text as arg,
 // "list" ignores it. cb fires exactly once.
 func (n *Node) ViewAdmin(target transport.Addr, op, arg string, payload any, cb func(ViewAdminResult)) {
-	n.nextReq++
-	req := viewAdminReq{ReqID: n.nextReq, Op: op, Arg: arg, Payload: payload, Origin: n.p.Self()}
-	call := &viewAdminCall{cb: cb}
-	call.cancel = n.p.After(n.cfg.SiteQueryTimeout, func() {
-		if _, w := n.pendingVA[req.ReqID]; w {
-			delete(n.pendingVA, req.ReqID)
+	req := viewAdminReq{Op: op, Arg: arg, Payload: payload, Origin: n.p.Self()}
+	req.ReqID = n.p.Await(n.cfg.SiteQueryTimeout, viewAdminResp{}, func(reply any, err error) {
+		switch {
+		case errors.Is(err, pastry.ErrTimeout):
 			cb(ViewAdminResult{Err: "view admin request timed out"})
+		case err != nil:
+			n.p.After(0, func() { cb(ViewAdminResult{Err: err.Error()}) })
+		default:
+			resp := reply.(viewAdminResp)
+			cb(ViewAdminResult{
+				Err:        resp.Err,
+				Key:        resp.Key,
+				Views:      resp.Views,
+				QueryID:    resp.QueryID,
+				Candidates: resp.Cands,
+				Shortfall:  resp.Shortfall,
+			})
 		}
 	})
-	n.pendingVA[req.ReqID] = call
 	if err := n.p.SendApp(target, AppName, req); err != nil {
-		errText := err.Error()
-		delete(n.pendingVA, req.ReqID)
-		call.cancel()
-		n.p.After(0, func() { cb(ViewAdminResult{Err: errText}) })
+		n.p.Settle(req.ReqID, nil, err)
 	}
 }
 
@@ -734,21 +720,4 @@ func (n *Node) serveViewAdmin(req viewAdminReq) {
 	default:
 		reply(viewAdminResp{Err: fmt.Sprintf("unknown view op %q", req.Op)})
 	}
-}
-
-func (n *Node) handleViewAdminResp(resp viewAdminResp) {
-	call, ok := n.pendingVA[resp.ReqID]
-	if !ok {
-		return
-	}
-	delete(n.pendingVA, resp.ReqID)
-	call.cancel()
-	call.cb(ViewAdminResult{
-		Err:        resp.Err,
-		Key:        resp.Key,
-		Views:      resp.Views,
-		QueryID:    resp.QueryID,
-		Candidates: resp.Cands,
-		Shortfall:  resp.Shortfall,
-	})
 }

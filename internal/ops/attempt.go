@@ -29,8 +29,9 @@ type step func(report func(result))
 func (r result) holds() bool { return r.queryID != "" && len(r.cands) > 0 }
 
 // attempt runs one attempt of o's current phase and acts on what decide
-// makes of its result. Attempts are counted, given a generation and
-// checked for staleness here and nowhere else. Node event context only.
+// makes of its result. Attempts are counted, given a generation, closed
+// by their first report and checked for staleness here and nowhere else.
+// Node event context only.
 func (e *Engine) attempt(o *op) {
 	e.mu.Lock()
 	ph, live := o.phase(), o.running()
@@ -67,9 +68,14 @@ func (e *Engine) attempt(o *op) {
 		o.Attempts++
 	}
 	gen := o.Attempts
+	// One report per attempt: the deadline and the step's own result race,
+	// and whichever comes second — even before the retry's backoff has
+	// started the next attempt — is stale.
+	reported := false
 	report := func(r result) {
 		e.mu.Lock()
-		stale := o.Attempts != gen || o.phase() != ph || !o.running()
+		stale := reported || o.Attempts != gen || o.phase() != ph || !o.running()
+		reported = true
 		if !stale && o.deadline != nil {
 			o.deadline()
 			o.deadline = nil

@@ -203,6 +203,52 @@ func TestLateReserveResultIsReleased(t *testing.T) {
 	}
 }
 
+// A reserve result that lands after its attempt's deadline but before the
+// retry's backoff has started the next attempt belongs to a closed attempt:
+// it must not finish the op (it used to read done with attempts 1) nor, had
+// it been an error, schedule a second retry — what it reserved is released
+// and the one scheduled retry goes ahead.
+func TestReserveResultBetweenDeadlineAndRetryIsStale(t *testing.T) {
+	fed := newFed(t)
+	e := testEngine(fed, nil, Config{StepTimeout: time.Millisecond, RetryMax: 2, RetryBase: time.Second})
+	retries := func() uint64 { return fed.BySite["lab"][0].Metrics().Counter("rbay_ops_retries_total") }
+	res, err := e.Submit(Request{Kind: KindReserve, Query: "SELECT 2 FROM lab WHERE GPU = true;"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deadline fires at 1 ms, the query answers a few ms later, the
+	// retry is due at 1 s.
+	held := 0
+	for i := 0; i < 500; i++ {
+		fed.RunFor(time.Millisecond)
+		if n := reservedCount(fed); n > held {
+			held = n
+		}
+	}
+	if held != 2 {
+		t.Fatalf("the late query held %d node(s), want 2 — no result landed inside the backoff", held)
+	}
+	op, _ := e.Get(res.ID)
+	if op.State != StateRunning || op.Attempts != 1 || op.Error != "reserve deadline exceeded" || len(op.Candidates) != 0 {
+		t.Fatalf("op after a result landed in the backoff = %+v, want it still waiting for its retry", op)
+	}
+	if n := reservedCount(fed); n != 0 {
+		t.Fatalf("%d node(s) still hold the closed attempt's reservation", n)
+	}
+	if got := retries(); got != 1 {
+		t.Fatalf("retries scheduled = %d, want 1", got)
+	}
+	driveUntil(t, fed, "reserve terminal", terminal(e, res.ID))
+	op, _ = e.Get(res.ID)
+	if op.State != StateFailed || op.Attempts != 2 || retries() != 1 {
+		t.Fatalf("reserve op = %+v after %d retries, want failed on its second deadline", op, retries())
+	}
+	fed.RunFor(500 * time.Millisecond)
+	if n := reservedCount(fed); n != 0 {
+		t.Fatalf("%d node(s) still reserved after the second late result", n)
+	}
+}
+
 func TestReservePermanentErrorFailsWithoutRetry(t *testing.T) {
 	fed := newFed(t)
 	e := testEngine(fed, nil, Config{})

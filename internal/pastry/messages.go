@@ -96,22 +96,3 @@ type repairResp struct {
 	Scope  string
 	Leaves []Entry
 }
-
-// rpcRequest rides a routed Message for RouteRequest; the delivering node
-// answers with a direct rpcReply.
-type rpcRequest struct {
-	ReqID uint64
-	Body  any
-}
-
-// rpcDirectRequest is a point-to-point request to a specific address.
-type rpcDirectRequest struct {
-	ReqID uint64
-	Body  any
-}
-
-// rpcReply answers either request form.
-type rpcReply struct {
-	ReqID uint64
-	Body  any
-}

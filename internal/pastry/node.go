@@ -3,6 +3,7 @@ package pastry
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -40,11 +41,10 @@ type Config struct {
 	// ProbeTimeout is how long to wait for a probe ack before declaring
 	// the neighbor failed. Default 3s.
 	ProbeTimeout time.Duration
-	// RPCTimeout bounds RouteRequest/RequestDirect waits. Default 10s.
-	RPCTimeout time.Duration
 	// Metrics, when non-nil, receives routing observability samples
 	// (pastry_route_hops per delivered message, pastry_delivered_total,
-	// pastry_forwarded_total). Nil disables recording at zero cost.
+	// pastry_forwarded_total, pastry_reply_mismatch_total). Nil disables
+	// recording at zero cost.
 	Metrics *metrics.Registry
 }
 
@@ -54,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 3 * time.Second
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -80,8 +77,10 @@ type state struct {
 	joined bool
 }
 
-type pendingRPC struct {
-	cb     func(reply any, from Entry, err error)
+// pendingCall is one awaited reply: see Await.
+type pendingCall struct {
+	want   reflect.Type
+	cb     func(reply any, err error)
 	cancel transport.CancelFunc
 }
 
@@ -89,7 +88,7 @@ type pendingRPC struct {
 // outside that scope.
 var ErrBadScope = errors.New("pastry: scope does not match node's site")
 
-// ErrTimeout is reported to RPC callbacks whose reply did not arrive in
+// ErrTimeout is reported to Await callbacks whose reply did not arrive in
 // time.
 var ErrTimeout = errors.New("pastry: request timed out")
 
@@ -110,16 +109,17 @@ type Node struct {
 	// crash path and may come from any goroutine while handlers run.
 	closed atomic.Bool
 
-	reqHandler func(n *Node, from Entry, body any) any
-	pending    map[uint64]*pendingRPC
-	nextReq    uint64
+	// pending is the node's one table of awaited replies (Await/Settle):
+	// pastry's probes, scribe's anycasts and aggregate queries and the
+	// core's site queries, view round trips and op acks all wait here, on
+	// IDs minted from nextReq.
+	pending map[uint64]*pendingCall
+	nextReq uint64
 
 	onFailure []func(Entry)
 	onJoined  map[string][]func()
 
-	probeSeq     uint64
-	probePending map[uint64]Entry
-	probeRR      int
+	probeRR int
 
 	// failed holds tombstones for peers recently declared dead, so that
 	// repair responses from neighbors that have not yet noticed the death
@@ -134,14 +134,13 @@ const failedTTL = 30 * time.Second
 // global scope and its own site scope once joined (or bootstrapped).
 func NewNode(net transport.Network, addr transport.Addr, cfg Config) (*Node, error) {
 	n := &Node{
-		cfg:          cfg.withDefaults(),
-		self:         EntryFor(addr),
-		states:       make(map[string]*state, 2),
-		apps:         make(map[string]Application),
-		pending:      make(map[uint64]*pendingRPC),
-		onJoined:     make(map[string][]func()),
-		probePending: make(map[uint64]Entry),
-		failed:       make(map[ids.ID]time.Time),
+		cfg:      cfg.withDefaults(),
+		self:     EntryFor(addr),
+		states:   make(map[string]*state, 2),
+		apps:     make(map[string]Application),
+		pending:  make(map[uint64]*pendingCall),
+		onJoined: make(map[string][]func()),
+		failed:   make(map[ids.ID]time.Time),
 	}
 	// Pre-create the routing histogram so first delivery is construction-free.
 	n.cfg.Metrics.DeclareInt("pastry_route_hops")
@@ -188,12 +187,6 @@ func (n *Node) Register(name string, app Application) {
 		panic("pastry: duplicate application " + name)
 	}
 	n.apps[name] = app
-}
-
-// SetRequestHandler installs the server side of RouteRequest and
-// RequestDirect.
-func (n *Node) SetRequestHandler(h func(n *Node, from Entry, body any) any) {
-	n.reqHandler = h
 }
 
 // OnFailure registers a callback invoked whenever the node learns a peer
@@ -428,8 +421,6 @@ func (n *Node) deliver(m *Message) {
 	switch m.App {
 	case appJoin:
 		n.deliverJoin(m)
-	case appRPC:
-		n.deliverRPC(m)
 	default:
 		if app := n.apps[m.App]; app != nil {
 			app.Deliver(n, m)
@@ -455,10 +446,7 @@ func (n *Node) SendApp(to transport.Addr, app string, payload any) error {
 // ---------------------------------------------------------------------------
 // Join protocol
 
-const (
-	appJoin = "_pastry.join"
-	appRPC  = "_pastry.rpc"
-)
+const appJoin = "_pastry.join"
 
 // JoinGlobal joins the federation-wide scope through any existing member.
 // done (optional) fires when the node has installed its leaf set.
@@ -680,104 +668,65 @@ func (n *Node) probeOnce() {
 	}
 	n.probeRR = (n.probeRR + 1) % len(members)
 	target := members[n.probeRR]
-	n.probeSeq++
-	seq := n.probeSeq
-	n.probePending[seq] = target
-	if err := n.ep.Send(target.Addr, probe{Seq: seq}); err != nil {
-		delete(n.probePending, seq)
-		n.NotePeerFailure(target)
-		return
-	}
-	n.ep.After(n.cfg.ProbeTimeout, func() {
-		if tgt, waiting := n.probePending[seq]; waiting {
-			delete(n.probePending, seq)
-			n.NotePeerFailure(tgt)
+	seq := n.Await(n.cfg.ProbeTimeout, probeAck{}, func(_ any, err error) {
+		if err != nil {
+			n.NotePeerFailure(target)
 		}
 	})
+	if err := n.ep.Send(target.Addr, probe{Seq: seq}); err != nil {
+		n.Settle(seq, nil, err)
+	}
 }
 
 // ---------------------------------------------------------------------------
-// RPC helpers
+// Request/reply correlation
 
-// RouteRequest routes body toward key within scope; the delivering node's
-// request handler computes a reply, sent directly back. cb is invoked with
-// the reply or ErrTimeout.
-func (n *Node) RouteRequest(scope string, key ids.ID, body any, cb func(reply any, from Entry, err error)) error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	id := n.newPending(cb)
-	return n.RouteScoped(appRPC, scope, key, rpcRequest{ReqID: id, Body: body}, false)
-}
-
-// RequestDirect sends body straight to a specific address and awaits its
-// reply. Transport failures are reported through cb (handle errors once);
-// the return value is non-nil only for misuse of a closed node.
-func (n *Node) RequestDirect(to transport.Addr, body any, cb func(reply any, from Entry, err error)) error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
-	id := n.newPending(cb)
-	err := n.ep.Send(to, directEnvelope{App: appRPC, From: n.self, Payload: rpcDirectRequest{ReqID: id, Body: body}})
-	if err != nil {
-		n.cancelPending(id)
-		if !errors.Is(err, transport.ErrClosed) {
-			n.NotePeerFailure(EntryFor(to))
-		}
-		cb(nil, Entry{}, err)
-	}
-	return nil
-}
-
-func (n *Node) newPending(cb func(any, Entry, error)) uint64 {
+// Await mints a request ID and waits for its reply. cb fires exactly once,
+// on the node's event context: with the reply or error handed to Settle,
+// or with ErrTimeout once timeout has passed. want is a value of the
+// reply's type; Settle refuses a reply of any other type. A timeout <= 0
+// arms no timer: the caller owns the deadline and settles the ID itself
+// (an ack group has one deadline for all its requests). A call still
+// pending when the node closes is abandoned with the node: a closed
+// endpoint fires no timers.
+func (n *Node) Await(timeout time.Duration, want any, cb func(reply any, err error)) uint64 {
 	n.nextReq++
 	id := n.nextReq
-	p := &pendingRPC{cb: cb}
-	p.cancel = n.ep.After(n.cfg.RPCTimeout, func() {
-		if _, waiting := n.pending[id]; waiting {
-			delete(n.pending, id)
-			cb(nil, Entry{}, ErrTimeout)
-		}
-	})
+	p := &pendingCall{want: reflect.TypeOf(want), cb: cb}
+	if timeout > 0 {
+		p.cancel = n.ep.After(timeout, func() {
+			if n.pending[id] == p {
+				delete(n.pending, id)
+				cb(nil, ErrTimeout)
+			}
+		})
+	}
 	n.pending[id] = p
 	return id
 }
 
-func (n *Node) cancelPending(id uint64) {
-	if p, ok := n.pending[id]; ok {
-		delete(n.pending, id)
+// Settle ends the call waiting on id, handing reply and err to its
+// callback, and reports whether one was waiting. false is the late-reply
+// signal: the call timed out (or was never made here), and the caller
+// unwinds whatever the reply says the remote side did. A reply whose type
+// is not the one the call awaits — every layer's IDs share this table, and
+// ReqID arrives from the network — is counted, reported false like a late
+// one, and leaves the call pending.
+func (n *Node) Settle(id uint64, reply any, err error) bool {
+	p, ok := n.pending[id]
+	if !ok {
+		return false
+	}
+	if err == nil && reflect.TypeOf(reply) != p.want {
+		n.cfg.Metrics.Inc("pastry_reply_mismatch_total")
+		return false
+	}
+	delete(n.pending, id)
+	if p.cancel != nil {
 		p.cancel()
 	}
-}
-
-func (n *Node) deliverRPC(m *Message) {
-	req, ok := m.Payload.(rpcRequest)
-	if !ok {
-		return
-	}
-	var body any
-	if n.reqHandler != nil {
-		body = n.reqHandler(n, m.Origin, req.Body)
-	}
-	_ = n.ep.Send(m.Origin.Addr, directEnvelope{App: appRPC, From: n.self, Payload: rpcReply{ReqID: req.ReqID, Body: body}})
-}
-
-func (n *Node) handleRPCDirect(from Entry, r rpcDirectRequest) {
-	var body any
-	if n.reqHandler != nil {
-		body = n.reqHandler(n, from, r.Body)
-	}
-	_ = n.ep.Send(from.Addr, directEnvelope{App: appRPC, From: n.self, Payload: rpcReply{ReqID: r.ReqID, Body: body}})
-}
-
-func (n *Node) handleRPCReply(from Entry, r rpcReply) {
-	p, ok := n.pending[r.ReqID]
-	if !ok {
-		return
-	}
-	delete(n.pending, r.ReqID)
-	p.cancel()
-	p.cb(r.Body, from, nil)
+	p.cb(reply, err)
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -796,15 +745,8 @@ func (n *Node) handle(from transport.Addr, msg any) {
 		n.route(v)
 	case directEnvelope:
 		n.learn(v.From)
-		switch p := v.Payload.(type) {
-		case rpcDirectRequest:
-			n.handleRPCDirect(v.From, p)
-		case rpcReply:
-			n.handleRPCReply(v.From, p)
-		default:
-			if app := n.apps[v.App]; app != nil {
-				app.Direct(n, v.From, v.Payload)
-			}
+		if app := n.apps[v.App]; app != nil {
+			app.Direct(n, v.From, v.Payload)
 		}
 	case joinStart:
 		n.handleJoinStart(v)
@@ -829,7 +771,7 @@ func (n *Node) handle(from transport.Addr, msg any) {
 	case probeAck:
 		delete(n.failed, EntryFor(from).ID)
 		n.learn(EntryFor(from))
-		delete(n.probePending, v.Seq)
+		n.Settle(v.Seq, msg, nil)
 		// Gossiped entries are third-party information, so learn() keeps its
 		// tombstone guard: dead peers are not re-admitted until their
 		// failure record expires.

@@ -292,52 +292,6 @@ func TestProbeDetectsFailure(t *testing.T) {
 	}
 }
 
-func TestRouteRequestReplyAndTimeout(t *testing.T) {
-	net := simnet.New(transport.ConstantLatency(time.Millisecond))
-	nodes, err := Bootstrap(net, siteAddrs(20, "alpha"), Config{RPCTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range nodes {
-		n.SetRequestHandler(func(n *Node, from Entry, body any) any {
-			return fmt.Sprintf("%s says hi to %v", n.ID().Short(), body)
-		})
-	}
-	var got string
-	var gotErr error
-	key := ids.HashOf("some-key")
-	err = nodes[0].RouteRequest(GlobalScope, key, "bob", func(reply any, from Entry, err error) {
-		gotErr = err
-		if err == nil {
-			got = reply.(string)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run()
-	if gotErr != nil {
-		t.Fatal(gotErr)
-	}
-	wantPrefix := closestOf(nodes, key).Short()
-	if got == "" || got[:8] != wantPrefix {
-		t.Fatalf("reply %q should come from closest node %s", got, wantPrefix)
-	}
-
-	// Direct request to a crashed node times out.
-	victim := nodes[5]
-	victimAddr := victim.Addr()
-	victim.Close()
-	timedOut := false
-	nodes[0].RequestDirect(victimAddr, "x", func(reply any, from Entry, err error) {
-		timedOut = err != nil
-	})
-	net.RunFor(2 * time.Second)
-	if !timedOut {
-		t.Fatal("request to crashed node should fail or time out")
-	}
-}
-
 func TestDuplicateAppRegistrationPanics(t *testing.T) {
 	net := simnet.New(transport.ConstantLatency(0))
 	n, err := NewNode(net, transport.Addr{Site: "s", Host: "a"}, Config{})

@@ -8,6 +8,9 @@ import (
 )
 
 // Wire tags 16-30 belong to Pastry (see internal/wire for the tag map).
+// 27-29 carried the RPC request/reply envelopes, deleted with their last
+// caller; a peer built before that may still send them, so they are retired
+// — never reused — and decode to an unknown-tag error.
 const (
 	tagMessage byte = 16 + iota
 	tagDirectEnvelope
@@ -20,10 +23,8 @@ const (
 	tagProbeAck
 	tagRepairReq
 	tagRepairResp
-	tagRPCRequest
-	tagRPCDirectRequest
-	tagRPCReply
-	tagEntry
+
+	tagEntry byte = 30
 )
 
 var wireOnce sync.Once
@@ -124,30 +125,6 @@ func RegisterWire() {
 			},
 			func(d *wire.Decoder) repairResp {
 				return repairResp{Scope: d.String(), Leaves: DecodeEntries(d)}
-			})
-		wire.Register[rpcRequest](tagRPCRequest,
-			func(e *wire.Encoder, v rpcRequest) {
-				e.Uvarint(v.ReqID)
-				e.Value(v.Body)
-			},
-			func(d *wire.Decoder) rpcRequest {
-				return rpcRequest{ReqID: d.Uvarint(), Body: d.Value()}
-			})
-		wire.Register[rpcDirectRequest](tagRPCDirectRequest,
-			func(e *wire.Encoder, v rpcDirectRequest) {
-				e.Uvarint(v.ReqID)
-				e.Value(v.Body)
-			},
-			func(d *wire.Decoder) rpcDirectRequest {
-				return rpcDirectRequest{ReqID: d.Uvarint(), Body: d.Value()}
-			})
-		wire.Register[rpcReply](tagRPCReply,
-			func(e *wire.Encoder, v rpcReply) {
-				e.Uvarint(v.ReqID)
-				e.Value(v.Body)
-			},
-			func(d *wire.Decoder) rpcReply {
-				return rpcReply{ReqID: d.Uvarint(), Body: d.Value()}
 			})
 		wire.Register[Entry](tagEntry, EncodeEntry, DecodeEntry)
 	})

@@ -9,7 +9,6 @@ import (
 	"rbay/internal/ids"
 	"rbay/internal/metrics"
 	"rbay/internal/pastry"
-	"rbay/internal/transport"
 )
 
 // AppName is the Pastry application name Scribe registers under.
@@ -208,28 +207,15 @@ type Scribe struct {
 	// tick. Both trim per-tick allocations on the maintenance path.
 	topicsSorted []*topicState
 	tickFn       func()
-
-	nextAny    uint64
-	pendingAny map[uint64]*pendingCall
-	nextAgg    uint64
-	pendingAgg map[uint64]*pendingCall
-}
-
-type pendingCall struct {
-	anyCB  func(AnycastResult)
-	aggCB  func(value any, err error)
-	cancel transport.CancelFunc
 }
 
 // New creates the Scribe instance for a node and registers it as the
 // node's "scribe" application.
 func New(node *pastry.Node, cfg Config) *Scribe {
 	s := &Scribe{
-		node:       node,
-		cfg:        cfg.withDefaults(),
-		topics:     make(map[ids.ID]*topicState),
-		pendingAny: make(map[uint64]*pendingCall),
-		pendingAgg: make(map[uint64]*pendingCall),
+		node:   node,
+		cfg:    cfg.withDefaults(),
+		topics: make(map[ids.ID]*topicState),
 	}
 	node.Register(AppName, s)
 	node.OnFailure(s.onPeerFailure)
@@ -434,17 +420,26 @@ func (s *Scribe) treecast(t *topicState, mc multicastMsg) {
 // one reports done or the tree is exhausted. RBAY serves customer queries
 // this way (paper Fig. 7, steps 3–5).
 func (s *Scribe) Anycast(scope string, topic ids.ID, payload any, cb func(AnycastResult)) error {
-	s.nextAny++
-	id := s.nextAny
-	pc := &pendingCall{anyCB: cb}
-	pc.cancel = s.node.After(s.cfg.AnycastTimeout, func() {
-		if _, w := s.pendingAny[id]; w {
-			delete(s.pendingAny, id)
+	id := s.node.Await(s.cfg.AnycastTimeout, anycastDone{}, func(reply any, err error) {
+		if err != nil {
 			s.cfg.Metrics.Inc("scribe_anycast_timeouts_total")
 			cb(AnycastResult{Err: ErrTimeout})
+			return
 		}
+		d := reply.(anycastDone)
+		s.cfg.Metrics.Inc("scribe_anycasts_total")
+		if !d.Satisfied {
+			s.cfg.Metrics.Inc("scribe_anycast_exhausted_total")
+		}
+		s.cfg.Metrics.ObserveInt("scribe_anycast_visits", d.Visits)
+		s.cfg.Metrics.ObserveInt("scribe_anycast_hops", d.Hops)
+		cb(AnycastResult{
+			Payload:   d.Payload,
+			Satisfied: d.Satisfied,
+			Visits:    d.Visits,
+			Hops:      d.Hops,
+		})
 	})
-	s.pendingAny[id] = pc
 	msg := anycastMsg{
 		Topic:   topic,
 		ID:      id,
@@ -541,31 +536,10 @@ func (s *Scribe) finishAnycast(am anycastMsg, satisfied bool) {
 		Hops:      am.Hops,
 	}
 	if am.Origin.ID == s.node.ID() {
-		s.handleAnycastDone(done)
+		s.node.Settle(done.ID, done, nil)
 		return
 	}
 	_ = s.node.SendApp(am.Origin.Addr, AppName, done)
-}
-
-func (s *Scribe) handleAnycastDone(d anycastDone) {
-	pc, ok := s.pendingAny[d.ID]
-	if !ok {
-		return
-	}
-	delete(s.pendingAny, d.ID)
-	pc.cancel()
-	s.cfg.Metrics.Inc("scribe_anycasts_total")
-	if !d.Satisfied {
-		s.cfg.Metrics.Inc("scribe_anycast_exhausted_total")
-	}
-	s.cfg.Metrics.ObserveInt("scribe_anycast_visits", d.Visits)
-	s.cfg.Metrics.ObserveInt("scribe_anycast_hops", d.Hops)
-	pc.anyCB(AnycastResult{
-		Payload:   d.Payload,
-		Satisfied: d.Satisfied,
-		Visits:    d.Visits,
-		Hops:      d.Hops,
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -574,17 +548,17 @@ func (s *Scribe) handleAnycastDone(d anycastDone) {
 // QueryAggregate asks the topic's root for the current aggregate value
 // (e.g. tree size under Count).
 func (s *Scribe) QueryAggregate(scope string, topic ids.ID, cb func(value any, err error)) error {
-	s.nextAgg++
-	id := s.nextAgg
-	pc := &pendingCall{aggCB: cb}
-	pc.cancel = s.node.After(s.cfg.AggQueryTimeout, func() {
-		if _, w := s.pendingAgg[id]; w {
-			delete(s.pendingAgg, id)
+	id := s.node.Await(s.cfg.AggQueryTimeout, aggReplyMsg{}, func(reply any, err error) {
+		switch p, _ := reply.(aggReplyMsg); {
+		case err != nil:
 			s.cfg.Metrics.Inc("scribe_aggquery_timeouts_total")
 			cb(nil, ErrTimeout)
+		case p.NoTree:
+			cb(nil, ErrNoTree)
+		default:
+			cb(p.Value, nil)
 		}
 	})
-	s.pendingAgg[id] = pc
 	return s.node.RouteScoped(AppName, scope, topic, aggQueryMsg{ReqID: id, Origin: s.node.Self()}, false)
 }
 
@@ -1038,19 +1012,10 @@ func (s *Scribe) Direct(n *pastry.Node, from pastry.Entry, payload any) {
 			s.demote(t)
 		}
 	case anycastDone:
-		s.handleAnycastDone(p)
+		// payload, not p: boxing the typed copy again would allocate.
+		s.node.Settle(p.ID, payload, nil)
 	case aggReplyMsg:
-		pc, ok := s.pendingAgg[p.ReqID]
-		if !ok {
-			return
-		}
-		delete(s.pendingAgg, p.ReqID)
-		pc.cancel()
-		if p.NoTree {
-			pc.aggCB(nil, ErrNoTree)
-			return
-		}
-		pc.aggCB(p.Value, nil)
+		s.node.Settle(p.ReqID, payload, nil)
 	}
 }
 

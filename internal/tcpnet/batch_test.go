@@ -21,7 +21,8 @@ func TestBatchCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	n2, err := ListenConfig("127.0.0.1:0", resolver, Config{Overflow: Block})
+	const burst = 2000
+	n2, err := ListenConfig("127.0.0.1:0", resolver, Config{QueueLen: burst}) // room for all: none dropped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,6 @@ func TestBatchCoalescing(t *testing.T) {
 	var got collect
 	n2.NewEndpoint(addr("b", "h2"), func(_ transport.Addr, m any) { got.add(m) })
 
-	const burst = 2000
 	for i := 0; i < burst; i++ {
 		if err := e1.Send(addr("b", "h2"), i); err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ func BenchmarkLoopbackRTT(b *testing.B) {
 func BenchmarkCoalescerThroughput(b *testing.B) {
 	for _, senders := range []int{1, 8} {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
-			n1, n2, a1, a2 := pair(b, Config{})
+			n1, n2, a1, a2 := pair(b, Config{}, b.N+1)
 			e1, _ := n1.NewEndpoint(a1, func(transport.Addr, any) {})
 			var got atomic.Int64
 			n2.NewEndpoint(a2, func(transport.Addr, any) { got.Add(1) })

@@ -18,7 +18,7 @@ import (
 // not corrupt the frame stream (the receiver would drop the connection).
 func TestPerSenderFIFO(t *testing.T) {
 	const senders, each = 8, 5000
-	n1, n2, a1, a2 := pair(t, Config{HeartbeatInterval: time.Millisecond, HeartbeatMisses: 5000})
+	n1, n2, a1, a2 := pair(t, Config{HeartbeatInterval: time.Millisecond, HeartbeatMisses: 5000}, senders*each)
 
 	e1, _ := n1.NewEndpoint(a1, func(transport.Addr, any) {})
 	var mu sync.Mutex

@@ -251,61 +251,6 @@ func TestSlowEndpointNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// TestDropOldestPolicy checks the alternative overflow policy: the queue
-// keeps the newest deliveries, evicting the oldest.
-func TestDropOldestPolicy(t *testing.T) {
-	table := map[transport.Addr]string{}
-	resolver := func(a transport.Addr) (string, error) { return StaticResolver(table)(a) }
-
-	n1, err := Listen("127.0.0.1:0", resolver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close()
-	n2, err := ListenConfig("127.0.0.1:0", resolver, Config{QueueLen: 2, Overflow: DropOldest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n2.Close()
-	table[addr("a", "h1")] = n1.ListenAddr()
-	table[addr("b", "h2")] = n2.ListenAddr()
-
-	e1, _ := n1.NewEndpoint(addr("a", "h1"), func(transport.Addr, any) {})
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	var got collect
-	first := true
-	n2.NewEndpoint(addr("b", "h2"), func(_ transport.Addr, m any) {
-		got.add(m)
-		if first {
-			first = false
-			close(started)
-			<-unblock
-		}
-	})
-
-	if err := e1.Send(addr("b", "h2"), 1); err != nil {
-		t.Fatal(err)
-	}
-	<-started // handler is now stuck on message 1, queue is empty
-	for _, v := range []int{2, 3, 4, 5} {
-		if err := e1.Send(addr("b", "h2"), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Queue bound 2: 2 and 3 fill it, 4 evicts 2, 5 evicts 3.
-	waitFor(t, func() bool { return n2.Stats().QueueDrops >= 2 })
-	close(unblock)
-	waitFor(t, func() bool { return len(got.snapshot()) == 3 })
-	want := []any{1, 4, 5}
-	snap := got.snapshot()
-	for i, w := range want {
-		if snap[i] != w {
-			t.Fatalf("delivered %v, want %v", snap, want)
-		}
-	}
-}
-
 // TestHeartbeatPeerDownTriggersPastryRepair is the end-to-end rbayd-style
 // scenario: two Pastry nodes over real TCP, one process dies, and the
 // survivor's transport heartbeat/reconnect machinery — not simnet chaos

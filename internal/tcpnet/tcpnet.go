@@ -54,21 +54,6 @@ func StaticResolver(table map[transport.Addr]string) Resolver {
 	}
 }
 
-// OverflowPolicy selects what a full endpoint queue does with the next
-// delivery. The shared listener read loop never blocks on a slow endpoint
-// under DropNewest or DropOldest.
-type OverflowPolicy int
-
-const (
-	// DropNewest discards the incoming message (the default).
-	DropNewest OverflowPolicy = iota
-	// DropOldest evicts the oldest queued message to make room.
-	DropOldest
-	// Block waits for queue space, re-introducing head-of-line blocking
-	// across endpoints; only for workloads that cannot tolerate loss.
-	Block
-)
-
 // Config tunes the transport's batching cap and resilience machinery. The
 // zero value means "use the default"; negative values disable the
 // corresponding feature where that is meaningful.
@@ -102,10 +87,10 @@ type Config struct {
 	// HeartbeatMisses is how many intervals may pass without a pong
 	// before the connection is declared dead. Default 3.
 	HeartbeatMisses int
-	// QueueLen bounds each endpoint's delivery queue. Default 1024.
+	// QueueLen bounds each endpoint's delivery queue; a delivery that
+	// finds it full is dropped and counted (Stats.QueueDrops). Default
+	// 1024.
 	QueueLen int
-	// Overflow is the full-queue policy. Default DropNewest.
-	Overflow OverflowPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -998,43 +983,16 @@ func (e *Endpoint) enqueue(fn func()) {
 	}
 }
 
-// offer applies the overflow policy; the delivery paths (listener read
-// loop, local fast path) use it so one slow endpoint cannot head-of-line
-// block every other endpoint sharing the listener.
+// offer queues a delivery, or drops and counts it when the queue is full;
+// the delivery paths (listener read loop, local fast path) use it so one
+// slow endpoint cannot head-of-line block every other endpoint sharing
+// the listener.
 func (e *Endpoint) offer(fn func()) {
-	switch e.net.cfg.Overflow {
-	case Block:
-		e.enqueue(fn)
-	case DropOldest:
-		for {
-			// Fast path: room available (or shutting down).
-			select {
-			case e.queue <- fn:
-				return
-			case <-e.done:
-				return
-			default:
-			}
-			// Full: block until we either evict the oldest entry (count
-			// one real drop, then retry the offer), win a slot freed by
-			// the dispatcher, or shut down. Every arm makes progress, so
-			// racing the dispatch goroutine cannot busy-spin.
-			select {
-			case e.queue <- fn:
-				return
-			case <-e.queue:
-				e.net.stats.queueDrops.Add(1)
-			case <-e.done:
-				return
-			}
-		}
-	default: // DropNewest
-		select {
-		case e.queue <- fn:
-		case <-e.done:
-		default:
-			e.net.stats.queueDrops.Add(1)
-		}
+	select {
+	case e.queue <- fn:
+	case <-e.done:
+	default:
+		e.net.stats.queueDrops.Add(1)
 	}
 }
 

@@ -44,9 +44,10 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never met")
 }
 
-// pair is two networks on loopback, a → b, with b's deliveries never
-// dropped (Overflow: Block) so a test can count them.
-func pair(t testing.TB, cfg Config) (a, b *Network, aAddr, bAddr transport.Addr) {
+// pair is two networks on loopback, a → b. bQueueLen is how many messages
+// the test sends b: a queue that long never drops a delivery, so the test
+// can count them (0 takes the default).
+func pair(t testing.TB, cfg Config, bQueueLen int) (a, b *Network, aAddr, bAddr transport.Addr) {
 	t.Helper()
 	table := map[transport.Addr]string{}
 	resolver := func(x transport.Addr) (string, error) { return StaticResolver(table)(x) }
@@ -55,7 +56,7 @@ func pair(t testing.TB, cfg Config) (a, b *Network, aAddr, bAddr transport.Addr)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	b, err = ListenConfig("127.0.0.1:0", resolver, Config{Overflow: Block})
+	b, err = ListenConfig("127.0.0.1:0", resolver, Config{QueueLen: bQueueLen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func pair(t testing.TB, cfg Config) (a, b *Network, aAddr, bAddr transport.Addr)
 // waits for b's echo, on default Configs, with both directions dialed.
 func pingPong(t testing.TB) (roundTrip func()) {
 	t.Helper()
-	n1, n2, a1, a2 := pair(t, Config{})
+	n1, n2, a1, a2 := pair(t, Config{}, 0)
 	pong := make(chan struct{}, 1)
 	e1, _ := n1.NewEndpoint(a1, func(transport.Addr, any) { pong <- struct{}{} })
 	var e2 transport.Endpoint
@@ -166,6 +167,21 @@ func TestTimerAndCancel(t *testing.T) {
 	}
 }
 
+// pingApp answers a routed request ID with a direct reply naming the node
+// that delivered it, and settles the replies it receives.
+type pingApp struct{}
+
+func (pingApp) Deliver(n *pastry.Node, m *pastry.Message) {
+	_ = n.SendApp(m.Origin.Addr, "ping", map[string]any{"id": m.Payload, "from": "pong:" + n.ID().Short()})
+}
+func (pingApp) Forward(*pastry.Node, *pastry.Message, pastry.Entry) bool { return true }
+func (pingApp) Direct(n *pastry.Node, _ pastry.Entry, payload any) {
+	if r, ok := payload.(map[string]any); ok {
+		id, _ := r["id"].(uint64)
+		n.Settle(id, r, nil)
+	}
+}
+
 // TestPastryOverTCP runs a real multi-endpoint Pastry overlay over
 // loopback TCP — the same protocol code the simulator runs.
 func TestPastryOverTCP(t *testing.T) {
@@ -222,24 +238,27 @@ func TestPastryOverTCP(t *testing.T) {
 		}
 	}
 
-	// Route a request and get a reply across process boundaries.
+	// Route a request and get a reply across process boundaries: the
+	// delivering node answers directly, and the reply settles the call the
+	// origin is awaiting.
 	for _, n := range nodes {
-		n.SetRequestHandler(func(n *pastry.Node, from pastry.Entry, body any) any {
-			return "pong:" + n.ID().Short()
-		})
+		n.Register("ping", pingApp{})
 	}
 	reply := make(chan string, 1)
 	key := ids.HashOf("cross-process-key")
-	err = nodes[11].RouteRequest(pastry.GlobalScope, key, "ping", func(r any, from pastry.Entry, err error) {
-		if err != nil {
-			reply <- "err:" + err.Error()
-			return
+	origin := nodes[11]
+	origin.After(0, func() { // Await belongs to the node's event context
+		id := origin.Await(10*time.Second, map[string]any{}, func(r any, err error) {
+			if err != nil {
+				reply <- "err:" + err.Error()
+				return
+			}
+			reply <- r.(map[string]any)["from"].(string)
+		})
+		if err := origin.Route("ping", key, id); err != nil {
+			origin.Settle(id, nil, err)
 		}
-		reply <- r.(string)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case got := <-reply:
 		if len(got) < 5 || got[:5] != "pong:" {

@@ -83,6 +83,11 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{tagMap, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{tagStrings, 0x80, 0x80, 0x01})
+	// Pastry's retired tags 27-29 (the deleted RPC envelopes), as an old
+	// peer would frame them: request ID, then a nested value.
+	for tag := byte(27); tag <= 29; tag++ {
+		f.Add([]byte{tag, 9, tagString, 2, 'o', 'k'})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
 		if err != nil {

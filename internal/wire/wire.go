@@ -34,7 +34,7 @@
 // string, []string, []float64, []any, map[string]any, []byte,
 // transport.Addr, ids.ID) or a registered message type. Protocol packages
 // register explicit encode/decode functions for their message structs with
-// Register; nested any-typed fields (Message.Payload, rpcRequest.Body,
+// Register; nested any-typed fields (Message.Payload, aggReplyMsg.Value,
 // Candidate.SortKey, ...) recurse through the same tagged-value codec.
 // Unregistered types fail encoding with an error — nothing silently falls
 // back to reflection.

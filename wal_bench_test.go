@@ -60,8 +60,8 @@ func (w *walWorkload) run(l *store.Log, i int) {
 	l.RecordCommit("bench-query")
 }
 
-// BenchmarkWALAppendBinary keeps its name: bench-smoke and BENCH_seed.json
-// key on it.
+// BenchmarkWALAppendBinary keeps its name: `make bench` and `make bench-wal`
+// select it by pattern, and CHANGES.md quotes its numbers under it.
 func BenchmarkWALAppendBinary(b *testing.B) {
 	l, _, err := store.Open(store.NewMemDir(), store.Options{
 		Policy:       store.SyncNever,
