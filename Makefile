@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-tcpnet bench-all bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-tcpnet bench-all bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke fuzz-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
-ci: fmt-check vet build bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke
+ci: fmt-check vet build bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -115,6 +115,17 @@ fuzz-store:
 
 fuzz-store-smoke:
 	$(MAKE) fuzz-store FUZZ_TIME=5s
+
+# The other interpreters of untrusted input, 5 s each in `make ci`: query
+# text (parse never panics and round-trips its canonical form), AA policy
+# scripts (compile and run never panic or overrun the step budget), and
+# wire frames and messages. A crasher goes under the package's
+# testdata/fuzz/ with its fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileRun$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/aal/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/wire/
 
 # The durable-write seam, layer by layer: what the event context pays per
 # record (BenchmarkAppend: no device call, no allocation), the barrier

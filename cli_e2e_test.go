@@ -1,8 +1,11 @@
 package rbay_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -308,4 +311,127 @@ func waitListening(t *testing.T, hostport string) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	t.Fatalf("nothing listening on %s", hostport)
+}
+
+// TestCLICrossSite runs two stock rbayd processes in two sites. The
+// daemons and the client take the federation directory from the peers
+// file, so FROM * spans both sites, a client names a remote site, and a
+// cross-site reserve → commit → release through one gateway reaches done.
+// A query is a read: right after one, another finds the same node with no
+// conflict.
+func TestCLICrossSite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns binaries")
+	}
+	dir := t.TempDir()
+	build := func(name string) string {
+		out := filepath.Join(dir, name)
+		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
+		if b, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, b)
+		}
+		return out
+	}
+	rbayd := build("rbayd")
+	rbayctl := build("rbayctl")
+
+	ports := make([]string, 4)
+	for i := range ports {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports[i] = l.Addr().String()
+		l.Close()
+	}
+	gwURL := "http://" + ports[3]
+	peers := filepath.Join(dir, "peers.txt")
+	peersContent := fmt.Sprintf("east/n1 %s\nwest/n1 %s router\neast/ctl %s\n", ports[0], ports[1], ports[2])
+	if err := os.WriteFile(peers, []byte(peersContent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	registry := filepath.Join(dir, "registry.json")
+	regContent := `{"trees": [{"name": "GPU", "attr": "GPU", "op": "=", "value": true}]}`
+	if err := os.WriteFile(registry, []byte(regContent), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spawn := func(args ...string) {
+		cmd := exec.Command(rbayd, args...)
+		cmd.Stdout = os.Stderr
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		})
+	}
+	spawn("-addr", "east/n1", "-listen", ports[0], "-peers", peers, "-registry", registry,
+		"-bootstrap", "-attr", "GPU=true", "-http", ports[3])
+	waitListening(t, ports[0])
+	spawn("-addr", "west/n1", "-listen", ports[1], "-peers", peers, "-registry", registry,
+		"-seed", "east/n1", "-attr", "GPU=true")
+	waitListening(t, ports[1])
+	waitListening(t, ports[3])
+
+	type found struct {
+		Candidates []struct {
+			Site string `json:"site"`
+		} `json:"candidates"`
+		Attempts  int `json:"attempts"`
+		Conflicts int `json:"conflicts"`
+	}
+	gwQuery := func(sql string) (found, error) {
+		var res found
+		resp, err := http.Get(gwURL + "/query?q=" + url.QueryEscape(sql))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&res)
+			resp.Body.Close()
+		}
+		return res, err
+	}
+	// The gateway's FROM * must reach both sites' trees.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		res, err := gwQuery("SELECT 2 FROM * WHERE GPU = true;")
+		if err == nil && len(res.Candidates) == 2 && res.Candidates[0].Site != res.Candidates[1].Site {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("FROM * never spanned both sites: %+v (err=%v)", res, err)
+		}
+		time.Sleep(time.Second)
+	}
+
+	// The client names the remote site; once it exits, the node it found
+	// is free for the next query at once.
+	out, err := exec.Command(rbayctl,
+		"-addr", "east/ctl", "-listen", ports[2], "-peers", peers, "-registry", registry,
+		"-seed", "east/n1", "-timeout", "20s",
+		"query", "SELECT 1 FROM west WHERE GPU = true;").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "site=west") {
+		t.Fatalf("rbayctl query FROM west: %v\n%s", err, out)
+	}
+	if res, err := gwQuery("SELECT 1 FROM west WHERE GPU = true;"); err != nil ||
+		len(res.Candidates) != 1 || res.Conflicts != 0 || res.Attempts != 1 {
+		t.Fatalf("query right after rbayctl's = %+v (err=%v), want west/n1 with 0 conflicts in 1 attempt", res, err)
+	}
+
+	gwCtl := func(args ...string) string {
+		t.Helper()
+		all := append([]string{"-gw", gwURL, "-timeout", "60s", "-wait"}, args...)
+		out, err := exec.Command(rbayctl, all...).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), " done") {
+			t.Fatalf("rbayctl -gw %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	out = []byte(gwCtl("reserve", "SELECT 1 FROM west WHERE GPU = true;"))
+	if !strings.Contains(string(out), "site=west") {
+		t.Fatalf("cross-site reserve held nothing in west:\n%s", out)
+	}
+	reserveID := strings.TrimSuffix(strings.Fields(string(out))[1], ":") // "op <id>: reserve done ..."
+	gwCtl("commit", reserveID)
+	gwCtl("release", reserveID)
 }

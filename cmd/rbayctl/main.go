@@ -72,7 +72,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	peers, err := fedcfg.LoadPeers(*peersPath)
+	peers, directory, err := fedcfg.LoadPeers(*peersPath)
 	if err != nil {
 		return err
 	}
@@ -106,6 +106,7 @@ func run(args []string) error {
 		return err
 	}
 	defer node.Close()
+	node.Node.DoWait(func() { node.Node.SetDirectory(directory) })
 
 	joined := make(chan struct{})
 	var joinErr error
@@ -188,7 +189,11 @@ func doQuery(n *rbay.Node, sql, password string, mode rbay.ViewMode, explain boo
 	}
 	done := make(chan rbay.Result, 1)
 	n.Do(func() {
-		n.QueryVia(q, "rbayctl", password, mode, func(r rbay.Result) { done <- r })
+		n.QueryVia(q, "rbayctl", password, mode, func(r rbay.Result) {
+			// A query is a read: release what it reserved before exiting.
+			n.Release(r.QueryID, r.Candidates)
+			done <- r
+		})
 	})
 	select {
 	case r := <-done:

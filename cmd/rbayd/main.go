@@ -8,7 +8,9 @@
 //	      [-data-dir /var/lib/rbayd] [-fsync always|interval|never]
 //	      [-attr name=value]... [-policy attr=script.aal]...
 //
-// peers.txt maps node addresses to TCP endpoints ("virginia/n1 10.0.0.5:7946");
+// peers.txt maps node addresses to TCP endpoints ("virginia/n1 10.0.0.5:7946",
+// a trailing "router" marks a site's boundary router) and is the
+// federation directory: its sites are the ones FROM * names;
 // registry.json declares the federation's aggregation trees. The first
 // node of a federation starts with -bootstrap; later nodes join through
 // any running peer with -seed.
@@ -99,7 +101,7 @@ func run(args []string) error {
 		fmt.Printf("rbayd: pprof debug server on http://%s/debug/pprof/\n", *debugAddr)
 	}
 
-	peers, err := fedcfg.LoadPeers(*peersPath)
+	peers, directory, err := fedcfg.LoadPeers(*peersPath)
 	if err != nil {
 		return err
 	}
@@ -165,6 +167,10 @@ func run(args []string) error {
 	})
 	fmt.Printf("rbayd: node %v listening on %s (NodeId %s)\n",
 		addr, node.ListenAddr(), node.Node.Pastry().ID().Short())
+
+	// The peers file is the federation directory too: FROM * means every
+	// site in it, and a remote site's queries go through its routers.
+	node.Node.DoWait(func() { node.Node.SetDirectory(directory) })
 
 	// Replay recovered state before joining: attributes re-posted, policy
 	// scripts re-attached, the reservation lease reconciled against its

@@ -98,37 +98,12 @@ func (n *Node) storeAttach(name, script string) {
 	}
 }
 
-// recordReserve / recordCommit / recordRelease mirror reservation
-// transitions into the store.
-func (n *Node) recordReserve(queryID string, expires time.Time) {
-	if n.st != nil {
-		n.st.RecordReserve(queryID, expires)
-		n.g.recorded()
-	}
-}
-
-func (n *Node) recordCommit(queryID string) {
-	if n.st != nil {
-		n.st.RecordCommit(queryID)
-		n.g.recorded()
-	}
-}
-
-func (n *Node) recordRelease(queryID string) {
-	if n.st != nil {
-		n.st.RecordRelease(queryID)
-		n.g.recorded()
-	}
-}
-
 // Restore rebuilds the node's in-memory state from a recovered store
 // snapshot: attributes are re-posted (scripts re-attached, then values
-// re-set), and the reservation lease is reconciled against its TTL — an
-// uncommitted lease that expired while the node was down is released
-// (durably, so a second restart agrees), an in-flight one is re-armed
-// with its original expiry, and a committed lease is re-held
-// indefinitely, exactly as it was before the crash. Call it after New
-// and before joining the overlay; follow the join with Refederate.
+// re-set), and the lease is restored through step: re-armed with its
+// original expiry, or released durably if it lapsed while the node was
+// down. Call it after New and before joining the overlay; follow the
+// join with Refederate.
 //
 // The returned error is the first script that failed to re-attach; the
 // rest of the state is still restored (a broken policy must not hold the
@@ -146,12 +121,7 @@ func (n *Node) Restore(state store.State) error {
 		n.am.Set(a.Name, a.Value)
 	}
 	if r := state.Reservation; r != nil {
-		if !r.Committed && n.Now().After(r.Expires) {
-			// Expired while down: the origin's query has long moved on.
-			n.recordRelease(r.QueryID)
-		} else {
-			n.reserved = &reservation{queryID: r.QueryID, expires: r.Expires, committed: r.Committed}
-		}
+		n.applyLease(leaseEvent{kind: leaseRestore, stored: &lease{queryID: r.QueryID, expires: r.Expires, committed: r.Committed}})
 	}
 	return firstErr
 }
@@ -178,9 +148,7 @@ func (n *Node) Refederate() {
 // contrast, simulates a crash: it drops the transport and leaves the
 // store unsynced.
 func (n *Node) Shutdown() error {
-	if r := n.reserved; r != nil && !r.committed {
-		n.handleRelease(releaseReq{QueryID: r.queryID})
-	}
+	n.applyLease(leaseEvent{kind: leaseShutdown})
 	topics := make([]ids.ID, 0, len(n.subscribed))
 	for topic := range n.subscribed {
 		topics = append(topics, topic)

@@ -170,7 +170,7 @@ func TestNoAckWithoutDurableFrame(t *testing.T) {
 	if r := <-acked; r.Matched != 1 {
 		t.Fatalf("healthy commit: %+v, want one matched ack", r)
 	}
-	owner.DoWait(func() { owner.handleRelease(releaseReq{QueryID: "q-good"}) })
+	owner.DoWait(func() { owner.applyLease(leaseEvent{kind: leaseRelease, queryID: "q-good"}) })
 
 	// The fault hits the commit record's own flush: the owner applies the
 	// commit in memory (its state may run ahead), the ack waits inside the
@@ -220,7 +220,7 @@ func TestFailedVisitIsNotForwarded(t *testing.T) {
 	origin, owner := f.nodes[0], f.nodes[1]
 	waitFor(t, "the GPU tree to hold both nodes", func() bool { return treeSize(origin) == 2 })
 	// Only the owner can match: the origin is leased to someone else.
-	origin.DoWait(func() { origin.reserved = &reservation{queryID: "busy", committed: true} })
+	origin.DoWait(func() { origin.reserved = &lease{queryID: "busy", committed: true} })
 	settled(t, owner)
 	f.disks[1].SetFaults(store.Faults{Sync: errDisk})
 

@@ -10,7 +10,7 @@ import (
 // goroutine; the queue wakes the node, and applyIngest drains one
 // coalesced batch per event-context turn. Each batch pays one WAL frame
 // (storeSetBatch) and one view re-evaluation pass
-// (viewsAttrChangedBatch) however many keys it carries, instead of the
+// (viewsAttrChanged) however many keys it carries, instead of the
 // per-Set frame + view pass the synchronous path pays. Producers are
 // acked once that frame is durable (AfterDurable); the loop itself moves
 // on to the next batch meanwhile, so batches drained back to back share
@@ -60,7 +60,7 @@ func (n *Node) applyIngest() {
 		for i, e := range changed {
 			names[i] = e.Name
 		}
-		n.viewsAttrChangedBatch(names)
+		n.viewsAttrChanged(names...)
 	}
 	for _, a := range live {
 		n.metrics.Observe("rbay_ingest_staleness_seconds", start.Sub(a.At))

@@ -132,7 +132,7 @@ func viewAddrs(t *testing.T, fed *Federation, owner *Node, q *query.Query) []str
 // TestIngestBatchViewEquivalence is the debounce regression test: the
 // same attribute mutations applied per-write (SetAttribute → one
 // viewsAttrChanged per key) and batched (ingest → one
-// viewsAttrChangedBatch per batch) must leave a materialized view with
+// viewsAttrChanged pass per batch) must leave a materialized view with
 // identical membership.
 func TestIngestBatchViewEquivalence(t *testing.T) {
 	type mutation struct {

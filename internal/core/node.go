@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,6 +31,10 @@ const recentQueryCap = 64
 // customer arrives.
 const StabilityPrefix = "_stability."
 
+// backoffCap truncates the contention backoff's exponential: after c
+// failed rounds the origin waits up to 2^min(c, backoffCap)-1 slots.
+const backoffCap = 6
+
 // Config tunes an RBAY node. Zero values take defaults.
 type Config struct {
 	Pastry pastry.Config
@@ -46,32 +51,20 @@ type Config struct {
 	ReserveTTL time.Duration
 	// BackoffSlot is the contention backoff slot time. Default 50ms.
 	BackoffSlot time.Duration
-	// BackoffCap truncates the exponential (2^c-1 slots, c ≤ cap).
-	// Default 6.
-	BackoffCap int
 	// MaxAttempts bounds re-queries before returning partial results.
 	// Default 4.
 	MaxAttempts int
 	// SiteQueryTimeout bounds one site's query round. Default 10s.
 	SiteQueryTimeout time.Duration
-	// ViewRefreshInterval is how often a node that owns materialized query
-	// views re-multicasts their registrations down the candidate trees, and
-	// the unit of the view staleness bound: entries not re-confirmed within
-	// 3 × this interval expire. Default 2s.
-	ViewRefreshInterval time.Duration
 
 	// Store, when set, durably records attribute and reservation events so
 	// the node's state survives a crash (see internal/store and Restore).
 	// Nil — the default — keeps everything in memory.
 	Store Store
-	// IngestHighWater, IngestBatch and IngestErrorCap tune the node's
-	// churn-ingestion queue (internal/ingest, docs/INGEST.md): the depth
-	// at which enqueues degrade to per-key sampling, the max raw updates
-	// per apply batch, and the error-queue bound. Zero values take the
-	// ingest package defaults.
+	// IngestHighWater is the churn-ingestion queue depth at which
+	// enqueues degrade to per-key sampling (internal/ingest,
+	// docs/INGEST.md). Zero takes the ingest package default.
 	IngestHighWater int
-	IngestBatch     int
-	IngestErrorCap  int
 	// AAQuarantineAfter is the consecutive AA handler-failure threshold
 	// after which an attribute's handlers are quarantined. 0 uses
 	// attr.DefaultQuarantineAfter; negative disables quarantine.
@@ -88,17 +81,11 @@ func (c Config) withDefaults() Config {
 	if c.BackoffSlot <= 0 {
 		c.BackoffSlot = 50 * time.Millisecond
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 6
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
 	if c.SiteQueryTimeout <= 0 {
 		c.SiteQueryTimeout = 10 * time.Second
-	}
-	if c.ViewRefreshInterval <= 0 {
-		c.ViewRefreshInterval = 2 * time.Second
 	}
 	return c
 }
@@ -108,13 +95,6 @@ func (c Config) withDefaults() Config {
 type Directory struct {
 	Sites   []string
 	Routers map[string][]transport.Addr
-}
-
-// reservation locks a node for one query until commit or expiry.
-type reservation struct {
-	queryID   string
-	expires   time.Time
-	committed bool
 }
 
 // Node is one RBAY participant.
@@ -132,7 +112,8 @@ type Node struct {
 	// to (as a member).
 	subscribed map[ids.ID]*naming.TreeDef
 
-	reserved *reservation
+	// reserved is the node's lease (lease.go); only applyLease assigns it.
+	reserved *lease
 
 	// Query-interface state.
 	nextQuery uint64
@@ -198,13 +179,9 @@ type QueryRecord struct {
 	Trace      *trace.Span   `json:"trace,omitempty"`
 }
 
-// NodeStats counts per-node query activity.
+// NodeStats counts per-node admin activity; the query path counts in
+// the metrics registry (rbay_visits_total and its siblings).
 type NodeStats struct {
-	Visits       int // anycast visits processed
-	Authorized   int // visits that passed predicate + onGet checks
-	Denied       int // visits denied by onGet policy
-	Conflicts    int // visits that matched but found the node reserved
-	SiteQueries  int // site queries served as a router / query interface
 	AdminDeliver int // onDeliver commands executed
 }
 
@@ -347,8 +324,6 @@ func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, c
 	n.applyIngestFn = n.applyIngest
 	n.ing = ingest.NewQueue(ingest.Config{
 		HighWater: cfg.IngestHighWater,
-		BatchSize: cfg.IngestBatch,
-		ErrorCap:  cfg.IngestErrorCap,
 		Metrics:   reg2,
 		Now:       p.Now,
 		// Wake runs on the producer's goroutine; After(0, ...) marshals the
@@ -662,132 +637,87 @@ func (m *treeMember) LocalValue(topic ids.ID) any {
 
 // processVisit checks a query against this node and reserves it on match.
 func (m *Node) processVisit(qv queryVisit) (any, bool) {
-	m.stats.Visits++
 	m.metrics.Inc("rbay_visits_total")
-	// (i) every query predicate must hold on current attribute values.
-	for _, p := range qv.Preds {
-		v, ok := m.am.Get(p.Attr)
-		if !ok || !p.Eval(v) {
-			return qv, false
-		}
-	}
-	// (ii) the AA handler authorizes exposure (password check etc.).
-	exposed, err := m.am.OnGet(qv.TreeAttr, qv.Caller, qv.Payload)
-	if err != nil || exposed == nil {
-		m.stats.Denied++
-		m.metrics.Inc("rbay_visit_denied_total")
-		return qv, false
-	}
-	// (iii) reserve the node for this query. A node the origin already
-	// holds — reserved through a view serve, or collected by an earlier
-	// backoff round — is on the visit's exclude list: it refreshes its
-	// lease but must not fill another slot, which would waste anycast
-	// buffer space that rightfully belongs to fresh candidates. Held-ness
-	// is the origin's verdict, not a local queryID match: a fresh query
-	// instance may legitimately reuse an ID (a restarted caller) and must
-	// re-reserve the same nodes.
-	for _, a := range qv.Exclude {
-		if a == m.Addr() {
-			if m.reserved != nil && m.reserved.queryID == qv.QueryID {
-				m.reserve(qv.QueryID) // idempotent lease refresh
-			}
-			m.metrics.Inc("rbay_visit_repeats_total")
-			return qv, false
-		}
-	}
-	if !m.reserve(qv.QueryID) {
-		m.stats.Conflicts++
-		m.metrics.Inc("rbay_visit_conflicts_total")
+	// A node the origin already holds (a view serve, an earlier backoff
+	// round) is on the exclude list and leaves the slots to fresh
+	// candidates. Held-ness is the origin's verdict, not a local queryID
+	// match: a restarted caller may reuse an ID and must re-reserve.
+	c, v := m.admit(qv.Preds, qv.TreeAttr, qv.Caller, qv.Payload, qv.QueryID, qv.OrderBy,
+		slices.Contains(qv.Exclude, m.Addr()))
+	switch v {
+	case held:
+		m.metrics.Inc("rbay_visit_repeats_total")
+	case conflict:
 		qv.Conflicts++
-		return qv, false
+	case granted:
+		qv.Slots = append(qv.Slots, c)
+		return qv, qv.K > 0 && len(qv.Slots) >= qv.K
 	}
-	m.stats.Authorized++
-	m.metrics.Inc("rbay_visit_reserved_total")
-	var sortKey any
-	switch {
-	case strings.HasPrefix(qv.OrderBy, StabilityPrefix):
-		sortKey = m.predictor.Stability(strings.TrimPrefix(qv.OrderBy, StabilityPrefix))
-	case qv.OrderBy != "":
-		sortKey, _ = m.am.Get(qv.OrderBy)
-	}
-	qv.Slots = append(qv.Slots, Candidate{
-		NodeID:  fmt.Sprintf("%v", exposed),
-		Addr:    m.Addr(),
-		Site:    m.Site(),
-		SortKey: sortKey,
-	})
-	done := qv.K > 0 && len(qv.Slots) >= qv.K
-	return qv, done
+	return qv, false
 }
 
-// reserve locks the node for queryID; re-reserving for the same query is
-// idempotent. Expired reservations free the node.
-func (n *Node) reserve(queryID string) bool {
-	now := n.Now()
-	if r := n.reserved; r != nil {
-		if r.queryID == queryID {
-			r.expires = now.Add(n.cfg.ReserveTTL)
-			n.recordReserve(queryID, r.expires)
-			return true
-		}
-		if !r.committed && now.After(r.expires) {
-			n.reserved = nil
-		} else {
-			return false
+// admit runs the three gates an anycast visit and a view serve share —
+// every predicate holds on current attribute values, the AA handler
+// authorizes exposure (password check etc.), the lease is free for the
+// query — and builds the candidate this node contributes. A node the
+// origin already holds (excluded) only refreshes its own lease.
+func (n *Node) admit(preds []naming.Pred, treeAttr, caller string, payload any, queryID, orderBy string, excluded bool) (Candidate, verdict) {
+	for _, p := range preds {
+		v, ok := n.am.Get(p.Attr)
+		if !ok || !p.Eval(v) {
+			return Candidate{}, unmatched
 		}
 	}
-	n.reserved = &reservation{queryID: queryID, expires: now.Add(n.cfg.ReserveTTL)}
-	n.recordReserve(queryID, n.reserved.expires)
-	return true
+	exposed, err := n.am.OnGet(treeAttr, caller, payload)
+	if err != nil || exposed == nil {
+		n.metrics.Inc("rbay_visit_denied_total")
+		return Candidate{}, unmatched
+	}
+	if excluded {
+		n.applyLease(leaseEvent{kind: leaseRefresh, queryID: queryID})
+		return Candidate{}, held
+	}
+	if !n.reserve(queryID) {
+		n.metrics.Inc("rbay_visit_conflicts_total")
+		return Candidate{}, conflict
+	}
+	n.metrics.Inc("rbay_visit_reserved_total")
+	return Candidate{NodeID: fmt.Sprint(exposed), Addr: n.Addr(), Site: n.Site(), SortKey: n.sortKey(orderBy)}, granted
+}
+
+// sortKey is this node's value of a query's GROUPBY attribute.
+func (n *Node) sortKey(orderBy string) any {
+	switch {
+	case strings.HasPrefix(orderBy, StabilityPrefix):
+		return n.predictor.Stability(strings.TrimPrefix(orderBy, StabilityPrefix))
+	case orderBy != "":
+		v, _ := n.am.Get(orderBy)
+		return v
+	}
+	return nil
+}
+
+// reserve locks the node for queryID (see step).
+func (n *Node) reserve(queryID string) bool {
+	return n.applyLease(leaseEvent{kind: leaseReserve, queryID: queryID}) == granted
 }
 
 // Reserved reports the query currently holding this node, if any.
 func (n *Node) Reserved() (queryID string, committed, ok bool) {
-	r := n.reserved
-	if r == nil {
-		return "", false, false
+	if l := holder(n.reserved, n.Now()); l != nil {
+		return l.queryID, l.committed, true
 	}
-	if !r.committed && n.Now().After(r.expires) {
-		return "", false, false
-	}
-	return r.queryID, r.committed, true
+	return "", false, false
 }
 
-func (n *Node) handleCommit(q commitReq) bool {
-	if r := n.reserved; r != nil && r.queryID == q.QueryID {
-		if !r.committed && n.Now().After(r.expires) {
-			// The lease expired before the commit arrived. Refuse and free
-			// the node: other queries already see it as available, so
-			// honoring the commit could double-book it. The committer gets
-			// an unmatched ack and rolls its operation back.
-			n.reserved = nil
-			n.recordRelease(q.QueryID)
-			n.metrics.Inc("rbay_commit_expired_total")
-			return false
-		}
-		r.committed = true
-		n.recordCommit(q.QueryID)
-		n.metrics.Inc("rbay_commits_total")
-		return true
+// leaseReq applies an owner-side commit or release; one for a query that
+// no longer holds the node is a counted no-op, so duplicates are safe. A
+// non-zero reqID asks for an opAck saying whether the node held the lease.
+func (n *Node) leaseReq(from pastry.Entry, reqID uint64, ev leaseEvent) {
+	v := n.applyLease(ev)
+	if reqID != 0 {
+		_ = n.p.SendApp(from.Addr, AppName, opAck{ReqID: reqID, Matched: v == matched})
 	}
-	n.metrics.Inc("rbay_commit_unknown_total")
-	return false
-}
-
-// handleRelease frees this node's reservation for the query. It is
-// idempotent: a release for a query that no longer holds the node (already
-// released, expired, or superseded) is a counted no-op, so duplicate
-// releases — surplus trimming across rounds, late-response cleanup racing
-// TTL expiry — are always safe.
-func (n *Node) handleRelease(q releaseReq) bool {
-	if r := n.reserved; r != nil && r.queryID == q.QueryID {
-		n.reserved = nil
-		n.recordRelease(q.QueryID)
-		n.metrics.Inc("rbay_releases_total")
-		return true
-	}
-	n.metrics.Inc("rbay_release_unknown_total")
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -805,15 +735,9 @@ func (n *Node) Forward(_ *pastry.Node, _ *pastry.Message, _ pastry.Entry) bool {
 func (n *Node) Direct(_ *pastry.Node, from pastry.Entry, payload any) {
 	switch p := payload.(type) {
 	case commitReq:
-		matched := n.handleCommit(p)
-		if p.ReqID != 0 {
-			_ = n.p.SendApp(from.Addr, AppName, opAck{ReqID: p.ReqID, Matched: matched})
-		}
+		n.leaseReq(from, p.ReqID, leaseEvent{kind: leaseCommit, queryID: p.QueryID})
 	case releaseReq:
-		matched := n.handleRelease(p)
-		if p.ReqID != 0 {
-			_ = n.p.SendApp(from.Addr, AppName, opAck{ReqID: p.ReqID, Matched: matched})
-		}
+		n.leaseReq(from, p.ReqID, leaseEvent{kind: leaseRelease, queryID: p.QueryID})
 	case opAck:
 		n.handleOpAck(p, payload)
 	case siteQueryReq:

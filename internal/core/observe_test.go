@@ -167,7 +167,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	if !n.reserve("q1") {
 		t.Fatal("initial reserve failed")
 	}
-	n.handleRelease(releaseReq{QueryID: "q1"})
+	n.applyLease(leaseEvent{kind: leaseRelease, queryID: "q1"})
 	if _, _, ok := n.Reserved(); ok {
 		t.Fatal("release did not free the node")
 	}
@@ -176,7 +176,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	}
 
 	// Duplicate release: counted no-op.
-	n.handleRelease(releaseReq{QueryID: "q1"})
+	n.applyLease(leaseEvent{kind: leaseRelease, queryID: "q1"})
 	if got := n.Metrics().Counter("rbay_release_unknown_total"); got != 1 {
 		t.Fatalf("rbay_release_unknown_total = %d, want 1", got)
 	}
@@ -185,7 +185,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	if !n.reserve("q2") {
 		t.Fatal("re-reserve failed")
 	}
-	n.handleRelease(releaseReq{QueryID: "q1"})
+	n.applyLease(leaseEvent{kind: leaseRelease, queryID: "q1"})
 	if id, _, ok := n.Reserved(); !ok || id != "q2" {
 		t.Fatalf("mismatched release broke the reservation: id=%q ok=%v", id, ok)
 	}

@@ -131,7 +131,7 @@ func (n *Node) QueryVia(q *query.Query, caller string, payload any, mode ViewMod
 		}
 	}
 	plan := run.root.Child("plan", now)
-	sites := run.targetSites()
+	sites := targetSitesFor(n, q)
 	plan.SetInt("preds", len(q.Preds))
 	plan.SetInt("sites", len(sites))
 	plan.Set("targets", strings.Join(sites, " "))
@@ -139,13 +139,10 @@ func (n *Node) QueryVia(q *query.Query, caller string, payload any, mode ViewMod
 	run.round()
 }
 
-// targetSites resolves the query's FROM clause against the directory.
-func (r *queryRun) targetSites() []string { return targetSitesFor(r.n, r.q) }
-
 // round runs one fan-out across all target sites.
 func (r *queryRun) round() {
 	r.attempt++
-	sites := r.targetSites()
+	sites := targetSitesFor(r.n, r.q)
 	need := r.q.K
 	if need > 0 {
 		need -= len(r.acc)
@@ -260,8 +257,8 @@ func (r *queryRun) roundDone(roundErr error) {
 		// Truncated exponential backoff: after c failures wait a random
 		// number of slot times in [0, 2^c - 1] (paper §III-D).
 		c := r.attempt
-		if c > r.n.cfg.BackoffCap {
-			c = r.n.cfg.BackoffCap
+		if c > backoffCap {
+			c = backoffCap
 		}
 		slots := r.n.rng.Int63n(1 << uint(c))
 		wait := time.Duration(slots) * r.n.cfg.BackoffSlot
@@ -302,13 +299,11 @@ func (r *queryRun) finish(err error) {
 	if k := r.q.K; k > 0 {
 		if len(cands) > k {
 			// Release the surplus reservations. The owner-side release is
-			// idempotent (see handleRelease), so a node that was trimmed in
+			// idempotent (see leaseReq), so a node that was trimmed in
 			// an earlier round and re-collected is safe to release again.
 			merge.SetInt("released", len(cands)-k)
 			r.n.metrics.Add("rbay_surplus_released_total", uint64(len(cands)-k))
-			for _, c := range cands[k:] {
-				_ = r.n.p.SendApp(c.Addr, AppName, releaseReq{QueryID: r.id})
-			}
+			r.n.Release(r.id, cands[k:])
 			cands = cands[:k]
 		}
 		res.Shortfall = k - len(cands)
@@ -409,7 +404,8 @@ func (n *Node) Commit(queryID string, cands []Candidate) {
 	}
 }
 
-// Release frees candidates' reservations or leases early.
+// Release frees candidates' reservations or leases early, unacked: the
+// surplus trim and late-response cleanup use it too. ReleaseAcked confirms.
 func (n *Node) Release(queryID string, cands []Candidate) {
 	n.metrics.Add("rbay_releases_sent_total", uint64(len(cands)))
 	for _, c := range cands {
@@ -424,7 +420,6 @@ func (n *Node) Release(queryID string, cands []Candidate) {
 // otherwise through one of the site's boundary routers.
 func (n *Node) siteQuery(site string, req siteQueryReq, cb func(siteQueryResp)) {
 	if site == n.Site() {
-		n.stats.SiteQueries++
 		n.metrics.Inc("rbay_site_queries_served_total")
 		n.runSiteQuery(req, cb)
 		return
@@ -458,16 +453,13 @@ func (n *Node) handleSiteQueryResp(resp siteQueryResp, boxed any) {
 	n.metrics.Inc("rbay_site_query_late_responses_total")
 	if resp.QueryID != "" {
 		n.metrics.Add("rbay_reservations_released_late_total", uint64(len(resp.Candidates)))
-		for _, c := range resp.Candidates {
-			_ = n.p.SendApp(c.Addr, AppName, releaseReq{QueryID: resp.QueryID})
-		}
+		n.Release(resp.QueryID, resp.Candidates)
 	}
 }
 
 // serveSiteQuery runs a remote origin's sub-query inside this site and
 // replies directly.
 func (n *Node) serveSiteQuery(req siteQueryReq) {
-	n.stats.SiteQueries++
 	n.metrics.Inc("rbay_site_queries_served_total")
 	n.runSiteQuery(req, func(resp siteQueryResp) {
 		resp.ReqID = req.ReqID

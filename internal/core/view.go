@@ -20,13 +20,19 @@ import (
 // view's predicates against its own attributes and pushes membership
 // transitions (post, withdrawal, re-post, GROUPBY key change) point to
 // point to the owner. The owner re-multicasts the registration every
-// ViewRefreshInterval — the keepalive that bounds staleness — and expires
+// viewRefreshInterval — the keepalive that bounds staleness — and expires
 // entries and subscriptions not re-confirmed within 3 × the interval.
 //
 // A view serve still honors reservations: the owner asks candidates to
 // reserve themselves (re-checking predicates and onGet at that moment),
 // walks further entries past conflicts, and — under ViewAuto — falls back
 // to the ordinary probe/anycast round when the view cannot fill k.
+
+// viewRefreshInterval is how often a node that owns materialized query
+// views re-multicasts their registrations down the candidate trees, and
+// the unit of the view staleness bound: entries not re-confirmed within
+// 3 × this interval expire.
+const viewRefreshInterval = 2 * time.Second
 
 // ErrNoView is reported by ViewOnly queries whose canonical text matches
 // no registered view on this node.
@@ -233,7 +239,7 @@ func (n *Node) DropView(key string) bool {
 func (n *Node) Views() []ViewInfo {
 	now := n.Now()
 	out := make([]ViewInfo, 0, len(n.views))
-	for _, key := range n.sortedViewKeys() {
+	for _, key := range sortedKeys(n.views) {
 		v := n.views[key]
 		out = append(out, ViewInfo{
 			Key:         v.key,
@@ -250,9 +256,11 @@ func (n *Node) Views() []ViewInfo {
 	return out
 }
 
-func (n *Node) sortedViewKeys() []string {
-	keys := make([]string, 0, len(n.views))
-	for k := range n.views {
+// sortedKeys orders a view map's keys for a deterministic send order
+// under the simulator.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -266,7 +274,7 @@ func (n *Node) refreshView(v *viewState) {
 	now := n.Now()
 	v.lastRefresh = now
 	v.refreshes++
-	ttl := 3 * n.cfg.ViewRefreshInterval
+	ttl := 3 * viewRefreshInterval
 	for a, e := range v.entries {
 		if now.Sub(e.seenAt) > ttl {
 			delete(v.entries, a)
@@ -316,7 +324,7 @@ func (n *Node) relayViewReg(sr viewSiteReg) {
 }
 
 // targetSitesFor resolves a query's FROM clause against the directory
-// (shared by the per-run targetSites and view registration).
+// (shared by query runs and view registration).
 func targetSitesFor(n *Node, q *query.Query) []string {
 	if len(q.Sites) > 0 {
 		return q.Sites
@@ -349,13 +357,13 @@ func (n *Node) viewMaintenance() {
 		return
 	}
 	now := n.Now()
-	for _, key := range n.sortedViewKeys() {
+	for _, key := range sortedKeys(n.views) {
 		v := n.views[key]
-		if now.Sub(v.lastRefresh) >= n.cfg.ViewRefreshInterval {
+		if now.Sub(v.lastRefresh) >= viewRefreshInterval {
 			n.refreshView(v)
 		}
 	}
-	ttl := 3 * n.cfg.ViewRefreshInterval
+	ttl := 3 * viewRefreshInterval
 	for k, sub := range n.viewSubs {
 		if now.Sub(sub.lastReg) > ttl {
 			delete(n.viewSubs, k)
@@ -384,32 +392,16 @@ func (n *Node) handleViewReg(reg viewRegMsg) {
 }
 
 // viewsAttrChanged re-evaluates every subscription that predicates or
-// orders over the changed attribute; matches (and GROUPBY key changes)
-// push incrementally to the owner.
-func (n *Node) viewsAttrChanged(name string) {
-	if len(n.viewSubs) == 0 {
-		return
-	}
-	for _, k := range n.sortedViewSubKeys() {
-		sub := n.viewSubs[k]
-		if subWatches(sub, name) {
-			n.evalViewSub(sub, true)
-		}
-	}
-}
-
-// viewsAttrChangedBatch is the apply-batch debounce: each subscription
-// is re-evaluated AT MOST ONCE for a whole coalesced batch, however many
-// of its watched attributes changed. Results are identical to calling
-// viewsAttrChanged once per write after the batch has landed, because
-// evalViewSub recomputes from current attribute state — one pass over
-// the final values sees exactly what N per-write passes would have
-// converged to.
-func (n *Node) viewsAttrChangedBatch(names []string) {
+// orders over a changed attribute; matches (and GROUPBY key changes)
+// push incrementally to the owner. An apply batch passes all its names,
+// and each subscription is re-evaluated at most once however many of
+// its attributes changed. That equals one pass per write after the batch
+// landed, because evalViewSub recomputes from current attribute state.
+func (n *Node) viewsAttrChanged(names ...string) {
 	if len(n.viewSubs) == 0 || len(names) == 0 {
 		return
 	}
-	for _, k := range n.sortedViewSubKeys() {
+	for _, k := range sortedKeys(n.viewSubs) {
 		sub := n.viewSubs[k]
 		for _, name := range names {
 			if subWatches(sub, name) {
@@ -418,17 +410,6 @@ func (n *Node) viewsAttrChangedBatch(names []string) {
 			}
 		}
 	}
-}
-
-// sortedViewSubKeys orders the subscription keys for a deterministic
-// send order under the simulator.
-func (n *Node) sortedViewSubKeys() []string {
-	keys := make([]string, 0, len(n.viewSubs))
-	for k := range n.viewSubs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // subWatches reports whether the subscription predicates or orders over
@@ -466,7 +447,7 @@ func (n *Node) evalViewSub(sub *viewSub, resend bool) {
 			NodeID:  n.Addr().String(),
 			Addr:    n.Addr(),
 			Site:    n.Site(),
-			SortKey: n.viewSortKey(sub.orderBy),
+			SortKey: n.sortKey(sub.orderBy),
 		}
 	}
 	if sub.owner.ID == n.p.ID() {
@@ -476,51 +457,12 @@ func (n *Node) evalViewSub(sub *viewSub, resend bool) {
 	_ = n.p.SendApp(sub.owner.Addr, AppName, u)
 }
 
-func (n *Node) viewSortKey(orderBy string) any {
-	switch {
-	case strings.HasPrefix(orderBy, StabilityPrefix):
-		return n.predictor.Stability(strings.TrimPrefix(orderBy, StabilityPrefix))
-	case orderBy != "":
-		v, _ := n.am.Get(orderBy)
-		return v
-	}
-	return nil
-}
-
-// serveViewReserve re-checks a view candidate at serve time: predicates
-// must still hold, onGet must authorize the caller, and the reservation
-// lock must be free — the same three gates as an anycast visit.
+// serveViewReserve re-checks a view candidate at serve time, through the
+// same admission as an anycast visit.
 func (n *Node) serveViewReserve(req viewReserveReq) viewReserveResp {
-	resp := viewReserveResp{ReqID: req.ReqID, QueryID: req.QueryID}
 	n.metrics.Inc("rbay_view_visits_total")
-	for _, p := range req.Preds {
-		v, ok := n.am.Get(p.Attr)
-		if !ok || !p.Eval(v) {
-			return resp // entry went stale between update and serve
-		}
-	}
-	exposed, err := n.am.OnGet(req.TreeAttr, req.Caller, req.Payload)
-	if err != nil || exposed == nil {
-		n.stats.Denied++
-		n.metrics.Inc("rbay_visit_denied_total")
-		return resp
-	}
-	if !n.reserve(req.QueryID) {
-		n.stats.Conflicts++
-		n.metrics.Inc("rbay_visit_conflicts_total")
-		resp.Conflict = true
-		return resp
-	}
-	n.stats.Authorized++
-	n.metrics.Inc("rbay_visit_reserved_total")
-	resp.OK = true
-	resp.Cand = Candidate{
-		NodeID:  fmt.Sprintf("%v", exposed),
-		Addr:    n.Addr(),
-		Site:    n.Site(),
-		SortKey: n.viewSortKey(req.OrderBy),
-	}
-	return resp
+	c, v := n.admit(req.Preds, req.TreeAttr, req.Caller, req.Payload, req.QueryID, req.OrderBy, false)
+	return viewReserveResp{ReqID: req.ReqID, QueryID: req.QueryID, OK: v == granted, Conflict: v == conflict, Cand: c}
 }
 
 // viewReserve round-trips one reserve request, delivering the response
@@ -563,7 +505,7 @@ func (n *Node) handleViewReserveResp(resp viewReserveResp, boxed any) {
 	// fan-out that has moved on. Unwind the lock instead of letting it sit
 	// until TTL expiry.
 	if !n.p.Settle(resp.ReqID, boxed, nil) && resp.OK && resp.QueryID != "" {
-		_ = n.p.SendApp(resp.Cand.Addr, AppName, releaseReq{QueryID: resp.QueryID})
+		n.Release(resp.QueryID, []Candidate{resp.Cand})
 	}
 }
 
@@ -711,6 +653,7 @@ func (n *Node) serveViewAdmin(req viewAdminReq) {
 			return
 		}
 		n.QueryVia(q, req.Origin.Addr.String(), req.Payload, ViewOnly, func(res QueryResult) {
+			n.Release(res.QueryID, res.Candidates) // a read holds nothing
 			resp := viewAdminResp{QueryID: res.QueryID, Cands: res.Candidates, Shortfall: res.Shortfall}
 			if res.Err != nil {
 				resp.Err = res.Err.Error()

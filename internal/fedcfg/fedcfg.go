@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 
+	"rbay/internal/core"
 	"rbay/internal/naming"
 	"rbay/internal/transport"
 )
@@ -119,15 +120,21 @@ func MarshalRegistry(reg *naming.Registry) ([]byte, error) {
 	return json.MarshalIndent(&rf, "", "  ")
 }
 
-// LoadPeers reads a peer table: one "site/host tcp-host:port" pair per
-// line; '#' starts a comment.
-func LoadPeers(path string) (map[transport.Addr]string, error) {
+// LoadPeers reads a peer table: one "site/host tcp-host:port [router]"
+// line per node; '#' starts a comment. Besides the endpoint map it
+// derives the federation directory the table implies: the sites in the
+// order they first appear, and each site's boundary routers — the lines
+// that end in the router token, in file order, or the site's first line
+// when none does.
+func LoadPeers(path string) (map[transport.Addr]string, core.Directory, error) {
+	dir := core.Directory{Routers: make(map[string][]transport.Addr)}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("fedcfg: %w", err)
+		return nil, dir, fmt.Errorf("fedcfg: %w", err)
 	}
 	defer f.Close()
 	table := make(map[transport.Addr]string)
+	first := make(map[string]transport.Addr)
 	sc := bufio.NewScanner(f)
 	lineNo := 0
 	for sc.Scan() {
@@ -137,19 +144,32 @@ func LoadPeers(path string) (map[transport.Addr]string, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("fedcfg: %s:%d: want 'site/host host:port'", path, lineNo)
+		router := len(fields) == 3 && fields[2] == "router"
+		if len(fields) != 2 && !router {
+			return nil, dir, fmt.Errorf("fedcfg: %s:%d: want 'site/host host:port [router]'", path, lineNo)
 		}
 		addr, err := ParseAddr(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("fedcfg: %s:%d: %w", path, lineNo, err)
+			return nil, dir, fmt.Errorf("fedcfg: %s:%d: %w", path, lineNo, err)
 		}
 		table[addr] = fields[1]
+		if _, seen := first[addr.Site]; !seen {
+			first[addr.Site] = addr
+			dir.Sites = append(dir.Sites, addr.Site)
+		}
+		if router {
+			dir.Routers[addr.Site] = append(dir.Routers[addr.Site], addr)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fedcfg: %w", err)
+		return nil, dir, fmt.Errorf("fedcfg: %w", err)
 	}
-	return table, nil
+	for _, site := range dir.Sites {
+		if len(dir.Routers[site]) == 0 {
+			dir.Routers[site] = []transport.Addr{first[site]}
+		}
+	}
+	return table, dir, nil
 }
 
 // ParseAddr parses "site/host".

@@ -1,6 +1,7 @@
 package fedcfg
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,7 +69,7 @@ tokyo/n1    192.168.1.9:7946
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	peers, err := LoadPeers(path)
+	peers, _, err := LoadPeers(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +84,50 @@ tokyo/n1    192.168.1.9:7946
 	}
 }
 
+// TestLoadPeersDirectory: sites come from the addresses in file order;
+// a site's routers are its lines marked router, else its first line.
+func TestLoadPeersDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "peers.txt")
+	content := `tokyo/n1 10.0.1.1:7946
+virginia/n2 10.0.0.2:7946
+virginia/n1 10.0.0.1:7946 router
+tokyo/n2 10.0.1.2:7946
+virginia/n3 10.0.0.3:7946 router
+`
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	peers, dir, err := LoadPeers(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(peers) != 5 || peers[transport.Addr{Site: "virginia", Host: "n3"}] != "10.0.0.3:7946" {
+		t.Fatalf("peers = %v", peers)
+	}
+	if got := fmt.Sprint(dir.Sites); got != "[tokyo virginia]" {
+		t.Errorf("sites = %s, want [tokyo virginia]", got)
+	}
+	if got := fmt.Sprint(dir.Routers["tokyo"]); got != "[tokyo/n1]" {
+		t.Errorf("tokyo routers = %s, want the first host listed", got)
+	}
+	if got := fmt.Sprint(dir.Routers["virginia"]); got != "[virginia/n1 virginia/n3]" {
+		t.Errorf("virginia routers = %s, want the marked lines in file order", got)
+	}
+}
+
 func TestLoadPeersErrors(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.txt")
 	os.WriteFile(bad, []byte("too many fields here\n"), 0o644)
-	if _, err := LoadPeers(bad); err == nil {
+	if _, _, err := LoadPeers(bad); err == nil {
 		t.Error("malformed line accepted")
 	}
 	noslash := filepath.Join(dir, "noslash.txt")
 	os.WriteFile(noslash, []byte("hostonly 1.2.3.4:1\n"), 0o644)
-	if _, err := LoadPeers(noslash); err == nil {
+	if _, _, err := LoadPeers(noslash); err == nil {
 		t.Error("address without site accepted")
 	}
-	if _, err := LoadPeers(filepath.Join(dir, "missing.txt")); err == nil {
+	if _, _, err := LoadPeers(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -252,6 +252,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var res core.QueryResult
 	err = s.onNode(func(done func()) {
 		s.node.QueryVia(q, caller, payload, mode, func(qr core.QueryResult) {
+			// A query is a read: give back every lease it took before
+			// replying. POST /reserve is how a caller holds resources.
+			s.node.Release(qr.QueryID, qr.Candidates)
 			res = qr
 			done()
 		})

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -303,9 +304,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if len(qr2.Candidates) != 1 {
 		t.Fatalf("without password: %d candidates, want only the unprotected node", len(qr2.Candidates))
 	}
-	// Let the unauthenticated query's reservation expire before asking
-	// again.
-	time.Sleep(1200 * time.Millisecond)
+	// The unauthenticated query released what it found, so asking again
+	// needs no wait.
 	var qr3 struct {
 		Candidates []any `json:"candidates"`
 	}
@@ -327,6 +327,36 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 	if code := f.getJSON(t, "/query?q=SELEKT", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad sql = %d", code)
+	}
+}
+
+// TestQueryHoldsNothing: GET /query is a read. Right after its reply the
+// same query finds the same nodes with no conflict, under a ReserveTTL
+// far longer than the test.
+func TestQueryHoldsNothing(t *testing.T) {
+	f := newFixtureOpts(t, time.Minute, Options{Timeout: 15 * time.Second})
+	path := "/query?q=" + url.QueryEscape("SELECT 2 FROM lab WHERE GPU = true;")
+	hosts := func(r queryResponse) string {
+		var hs []string
+		for _, c := range r.Candidates {
+			hs = append(hs, c.Host)
+		}
+		sort.Strings(hs)
+		return strings.Join(hs, ",")
+	}
+	var first queryResponse
+	if code := f.getJSON(t, path, &first); code != http.StatusOK || first.Error != "" || len(first.Candidates) != 2 {
+		t.Fatalf("first query = %d %+v", code, first)
+	}
+	for i := 0; i < 3; i++ {
+		var again queryResponse
+		if code := f.getJSON(t, path, &again); code != http.StatusOK || again.Error != "" {
+			t.Fatalf("query %d = %d %+v", i+2, code, again)
+		}
+		if hosts(again) != hosts(first) || again.Conflicts != 0 || again.Attempts != 1 {
+			t.Fatalf("query %d found %q with %d conflicts in %d attempts, want %q with 0 in 1",
+				i+2, hosts(again), again.Conflicts, again.Attempts, hosts(first))
+		}
 	}
 }
 

@@ -70,7 +70,15 @@ func (q *Query) String() string {
 func renderValue(v any) string {
 	switch x := v.(type) {
 	case string:
-		return strconv.Quote(x)
+		// A literal is read raw up to its closing quote, with no escapes:
+		// render it raw inside whichever quote it does not contain.
+		switch {
+		case !strings.Contains(x, `"`):
+			return `"` + x + `"`
+		case !strings.Contains(x, "'"):
+			return "'" + x + "'"
+		}
+		return strconv.Quote(x) // holds both quotes, which no literal can
 	case bool:
 		if x {
 			return "true"
@@ -121,7 +129,13 @@ func (l *qlexer) next() (qtoken, error) {
 		}
 		return qtoken{kind: "word", text: l.src[start:l.pos], pos: start}, nil
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
-		for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.' || l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		for l.pos < len(l.src) {
+			ch := l.src[l.pos]
+			// An exponent may be signed: String renders 1e7 as 1e+07.
+			sign := (ch == '+' || ch == '-') && l.src[l.pos-1]|0x20 == 'e'
+			if !(ch >= '0' && ch <= '9' || ch == '.' || ch == 'e' || ch == 'E' || sign) {
+				break
+			}
 			l.pos++
 		}
 		text := l.src[start:l.pos]
