@@ -166,10 +166,19 @@ func (h *Harness) checkGatewayOps(eng *ops.Engine) {
 	h.counters.Inc("checks.gatewayops")
 	doneCommits := make(map[string]bool)
 	rolledBack := make(map[string]string) // queryID → op ID
+	reserves := make(map[string]string)   // queryID → reserve op ID
 	for _, op := range eng.List() {
 		if !op.State.Terminal() {
 			h.violate("gateway-ops", fmt.Sprintf("op %s (%s) stuck in %s after quiescence", op.ID, op.Kind, op.State))
 			continue
+		}
+		// A lease is matched by query ID alone: a restarted gateway that
+		// reused an ID would re-grant, and commit, the first op's nodes.
+		if op.Kind == ops.KindReserve && op.QueryID != "" {
+			if first, dup := reserves[op.QueryID]; dup {
+				h.violate("gateway-ops", fmt.Sprintf("reserve ops %s and %s share query ID %q", first, op.ID, op.QueryID))
+			}
+			reserves[op.QueryID] = op.ID
 		}
 		if op.Kind != ops.KindCommit || op.QueryID == "" {
 			continue

@@ -18,7 +18,8 @@ type lease struct {
 type leaseKind uint8
 
 const (
-	leaseReserve  leaseKind = iota // a query asks for the node
+	leaseNone     leaseKind = iota // as an effect's record: append none
+	leaseReserve                   // a query asks for the node
 	leaseRefresh                   // the origin still holds the node: extend only its own lease
 	leaseCommit                    // the origin takes the node
 	leaseRelease                   // the origin gives the node back
@@ -32,30 +33,21 @@ type leaseEvent struct {
 	stored  *lease
 }
 
-// verdict is what step, or admit around it, decided.
+// verdict is what step decided.
 type verdict uint8
 
 const (
-	unmatched verdict = iota // no lease for the query; for admit, predicates or onGet refused
+	unmatched verdict = iota // no lease for the query
 	matched                  // commit or release found the query's lease
 	granted                  // reserve or refresh took or extended the lease
 	conflict                 // reserve found another query's live lease
-	held                     // admit: the origin already holds the node, which fills no slot
 )
 
-type recKind uint8
-
-const (
-	recNone recKind = iota
-	recReserve
-	recCommit
-	recRelease
-)
-
-// effect is the rest of a step's decision: the record to append (for
-// queryID, with expires on a reserve), the counter to bump, the verdict.
+// effect is the rest of a step's decision: the record to append (a
+// reserve, commit or release for queryID, with expires on a reserve), the
+// counter to bump, the verdict.
 type effect struct {
-	rec     recKind
+	rec     leaseKind
 	queryID string
 	expires time.Time
 	counter string
@@ -87,7 +79,7 @@ func step(l *lease, ev leaseEvent, now time.Time, ttl time.Duration) (*lease, ef
 			return l, effect{verdict: conflict}
 		}
 		next := &lease{queryID: ev.queryID, expires: now.Add(ttl), committed: mine && l.committed}
-		return next, effect{rec: recReserve, queryID: ev.queryID, expires: next.expires, verdict: granted}
+		return next, effect{rec: leaseReserve, queryID: ev.queryID, expires: next.expires, verdict: granted}
 	case leaseCommit:
 		switch {
 		case !mine:
@@ -95,22 +87,22 @@ func step(l *lease, ev leaseEvent, now time.Time, ttl time.Duration) (*lease, ef
 		case holder(l, now) == nil:
 			// Other queries already see the node as free, so honoring the
 			// commit could double-book it: refuse, and the origin rolls back.
-			return nil, effect{rec: recRelease, queryID: l.queryID, counter: "rbay_commit_expired_total"}
+			return nil, effect{rec: leaseRelease, queryID: l.queryID, counter: "rbay_commit_expired_total"}
 		}
 		next := *l
 		next.committed = true
-		return &next, effect{rec: recCommit, queryID: l.queryID, counter: "rbay_commits_total", verdict: matched}
+		return &next, effect{rec: leaseCommit, queryID: l.queryID, counter: "rbay_commits_total", verdict: matched}
 	case leaseRelease:
 		if !mine {
 			return l, effect{counter: "rbay_release_unknown_total"}
 		}
-		return nil, effect{rec: recRelease, queryID: l.queryID, counter: "rbay_releases_total", verdict: matched}
+		return nil, effect{rec: leaseRelease, queryID: l.queryID, counter: "rbay_releases_total", verdict: matched}
 	case leaseRestore:
 		switch s := ev.stored; {
 		case s == nil:
 		case holder(s, now) == nil:
 			// Lapsed while down: release it durably so a second restart agrees.
-			return l, effect{rec: recRelease, queryID: s.queryID}
+			return l, effect{rec: leaseRelease, queryID: s.queryID}
 		default:
 			next := *s
 			return &next, effect{}
@@ -127,11 +119,11 @@ func step(l *lease, ev leaseEvent, now time.Time, ttl time.Duration) (*lease, ef
 // one.
 func (e effect) record(st Store) bool {
 	switch e.rec {
-	case recReserve:
+	case leaseReserve:
 		st.RecordReserve(e.queryID, e.expires)
-	case recCommit:
+	case leaseCommit:
 		st.RecordCommit(e.queryID)
-	case recRelease:
+	case leaseRelease:
 		st.RecordRelease(e.queryID)
 	default:
 		return false

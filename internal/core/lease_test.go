@@ -103,7 +103,7 @@ func (m *leaseModel) run(e int) {
 			m.fail("%s granted while %s holds the node: two holders", ev.queryID, h.queryID)
 		}
 		if n := len(m.seq); ev.kind == leaseRelease && n > 1 && m.seq[n-2] == "release q1" {
-			if eff.rec != recNone || l != prev {
+			if eff.rec != leaseNone || l != prev {
 				m.fail("second release changed the lease or wrote a record")
 			}
 		}

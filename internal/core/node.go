@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -117,8 +118,11 @@ type Node struct {
 
 	// Query-interface state.
 	nextQuery uint64
-	// idPrefix is the node's pre-rendered "site/host#" query-ID prefix, so
-	// minting a query ID is one small-int format plus one concat.
+	// idPrefix is the node's pre-rendered "site/host#boot." query-ID
+	// prefix, so minting a query ID is one small-int format plus one
+	// concat. boot is the node's clock at construction: nextQuery restarts
+	// from 0 with every process, and a committed lease minted before a
+	// restart must never match a query minted after it.
 	idPrefix string
 
 	// Stats for experiments.
@@ -271,7 +275,7 @@ func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, c
 		admin:      addr.Site + "-admin",
 		predictor:  forecast.NewPredictor(0),
 		metrics:    reg2,
-		idPrefix:   addr.String() + "#",
+		idPrefix:   addr.String() + "#" + strconv.FormatInt(p.Now().UnixNano(), 36) + ".",
 		views:      make(map[string]*viewState),
 		viewSubs:   make(map[string]*viewSub),
 	}
@@ -638,51 +642,55 @@ func (m *treeMember) LocalValue(topic ids.ID) any {
 // processVisit checks a query against this node and reserves it on match.
 func (m *Node) processVisit(qv queryVisit) (any, bool) {
 	m.metrics.Inc("rbay_visits_total")
-	// A node the origin already holds (a view serve, an earlier backoff
-	// round) is on the exclude list and leaves the slots to fresh
-	// candidates. Held-ness is the origin's verdict, not a local queryID
-	// match: a restarted caller may reuse an ID and must re-reserve.
-	c, v := m.admit(qv.Preds, qv.TreeAttr, qv.Caller, qv.Payload, qv.QueryID, qv.OrderBy,
-		slices.Contains(qv.Exclude, m.Addr()))
-	switch v {
-	case held:
-		m.metrics.Inc("rbay_visit_repeats_total")
-	case conflict:
-		qv.Conflicts++
-	case granted:
-		qv.Slots = append(qv.Slots, c)
-		return qv, qv.K > 0 && len(qv.Slots) >= qv.K
+	exposed, ok := m.authorize(qv.Preds, qv.TreeAttr, qv.Caller, qv.Payload)
+	if !ok {
+		return qv, false
 	}
-	return qv, false
+	// A node the origin already holds (a view serve, an earlier backoff
+	// round) is on the exclude list: it refreshes its own lease and leaves
+	// the slots to fresh candidates.
+	if slices.Contains(qv.Exclude, m.Addr()) {
+		m.applyLease(leaseEvent{kind: leaseRefresh, queryID: qv.QueryID})
+		m.metrics.Inc("rbay_visit_repeats_total")
+		return qv, false
+	}
+	c, ok := m.claim(exposed, qv.QueryID, qv.OrderBy)
+	if !ok {
+		qv.Conflicts++
+		return qv, false
+	}
+	qv.Slots = append(qv.Slots, c)
+	return qv, qv.K > 0 && len(qv.Slots) >= qv.K
 }
 
-// admit runs the three gates an anycast visit and a view serve share —
-// every predicate holds on current attribute values, the AA handler
-// authorizes exposure (password check etc.), the lease is free for the
-// query — and builds the candidate this node contributes. A node the
-// origin already holds (excluded) only refreshes its own lease.
-func (n *Node) admit(preds []naming.Pred, treeAttr, caller string, payload any, queryID, orderBy string, excluded bool) (Candidate, verdict) {
+// authorize runs the two gates an anycast visit and a view serve pass
+// before the lease: every predicate holds on current attribute values,
+// and the AA handler authorizes exposure (password check etc.). It
+// returns what the handler exposed.
+func (n *Node) authorize(preds []naming.Pred, treeAttr, caller string, payload any) (any, bool) {
 	for _, p := range preds {
 		v, ok := n.am.Get(p.Attr)
 		if !ok || !p.Eval(v) {
-			return Candidate{}, unmatched
+			return nil, false
 		}
 	}
 	exposed, err := n.am.OnGet(treeAttr, caller, payload)
 	if err != nil || exposed == nil {
 		n.metrics.Inc("rbay_visit_denied_total")
-		return Candidate{}, unmatched
+		return nil, false
 	}
-	if excluded {
-		n.applyLease(leaseEvent{kind: leaseRefresh, queryID: queryID})
-		return Candidate{}, held
-	}
+	return exposed, true
+}
+
+// claim reserves an authorized node for queryID and builds the candidate
+// it contributes; false means another query holds the node.
+func (n *Node) claim(exposed any, queryID, orderBy string) (Candidate, bool) {
 	if !n.reserve(queryID) {
 		n.metrics.Inc("rbay_visit_conflicts_total")
-		return Candidate{}, conflict
+		return Candidate{}, false
 	}
 	n.metrics.Inc("rbay_visit_reserved_total")
-	return Candidate{NodeID: fmt.Sprint(exposed), Addr: n.Addr(), Site: n.Site(), SortKey: n.sortKey(orderBy)}, granted
+	return Candidate{NodeID: fmt.Sprint(exposed), Addr: n.Addr(), Site: n.Site(), SortKey: n.sortKey(orderBy)}, true
 }
 
 // sortKey is this node's value of a query's GROUPBY attribute.

@@ -458,11 +458,15 @@ func (n *Node) evalViewSub(sub *viewSub, resend bool) {
 }
 
 // serveViewReserve re-checks a view candidate at serve time, through the
-// same admission as an anycast visit.
+// same gates and claim as an anycast visit.
 func (n *Node) serveViewReserve(req viewReserveReq) viewReserveResp {
 	n.metrics.Inc("rbay_view_visits_total")
-	c, v := n.admit(req.Preds, req.TreeAttr, req.Caller, req.Payload, req.QueryID, req.OrderBy, false)
-	return viewReserveResp{ReqID: req.ReqID, QueryID: req.QueryID, OK: v == granted, Conflict: v == conflict, Cand: c}
+	resp := viewReserveResp{ReqID: req.ReqID, QueryID: req.QueryID}
+	if exposed, ok := n.authorize(req.Preds, req.TreeAttr, req.Caller, req.Payload); ok {
+		resp.Cand, resp.OK = n.claim(exposed, req.QueryID, req.OrderBy)
+		resp.Conflict = !resp.OK
+	}
+	return resp
 }
 
 // viewReserve round-trips one reserve request, delivering the response

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +31,12 @@ type gwFixture struct {
 	gw    *Server
 	nodes []*core.Node
 	disk  *store.MemDir
+
+	reg   *naming.Registry
+	cfg   core.Config
+	nets  [2]*tcpnet.Network
+	mu    sync.Mutex
+	table map[transport.Addr]string // the resolver's address book
 }
 
 func newFixture(t *testing.T) *gwFixture {
@@ -51,18 +59,14 @@ func newFixtureDisk(t *testing.T, ttl time.Duration, opts Options, wrap func(*st
 	reg.MustDefine(naming.TreeDef{
 		Name: "GPU", Pred: naming.Pred{Attr: "GPU", Op: naming.OpEq, Value: true}, Creator: "gw",
 	})
-	table := map[transport.Addr]string{}
-	resolver := func(a transport.Addr) (string, error) {
-		hp, ok := table[a]
-		if !ok {
-			return "", fmt.Errorf("no peer %v", a)
-		}
-		return hp, nil
-	}
-	cfg := core.Config{
-		Scribe:             scribe.Config{AggregateInterval: 200 * time.Millisecond},
-		MembershipInterval: 300 * time.Millisecond,
-		ReserveTTL:         ttl,
+	f := &gwFixture{
+		reg: reg,
+		cfg: core.Config{
+			Scribe:             scribe.Config{AggregateInterval: 200 * time.Millisecond},
+			MembershipInterval: 300 * time.Millisecond,
+			ReserveTTL:         ttl,
+		},
+		table: map[transport.Addr]string{},
 	}
 	disk := store.NewMemDir()
 	log, _, err := store.Open(wrap(disk), store.Options{Policy: store.SyncAlways})
@@ -75,28 +79,11 @@ func newFixtureDisk(t *testing.T, ttl time.Duration, opts Options, wrap func(*st
 	}
 	var nodes []*core.Node
 	for i := 0; i < 2; i++ {
-		net, err := tcpnet.Listen("127.0.0.1:0", resolver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { net.Close() })
-		addr := transport.Addr{Site: "lab", Host: fmt.Sprintf("n%d", i)}
-		cfg := cfg
+		var st core.Store
 		if i == 0 {
-			cfg.Store = log
+			st = log
 		}
-		n, err := core.New(net, addr, reg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table[addr] = net.ListenAddr()
-		n.DoWait(func() {
-			n.SetAttribute("GPU", true)
-			n.SetDirectory(core.Directory{Sites: []string{"lab"}, Routers: map[string][]transport.Addr{
-				"lab": {addr},
-			}})
-		})
-		nodes = append(nodes, n)
+		nodes = append(nodes, f.startNode(t, i, st))
 	}
 	nodes[0].DoWait(func() { nodes[0].Pastry().BootstrapAlone() })
 	joined := make(chan struct{})
@@ -117,21 +104,62 @@ func newFixtureDisk(t *testing.T, ttl time.Duration, opts Options, wrap func(*st
 	gw := NewGateway(nodes[0], opts)
 	ts := httptest.NewServer(gw)
 	t.Cleanup(ts.Close)
+	f.ts, f.gw, f.nodes, f.disk = ts, gw, nodes, disk
+	f.waitTree(t)
+	return f
+}
 
-	// Wait until the GPU tree holds both members.
-	f := &gwFixture{ts: ts, gw: gw, nodes: nodes, disk: disk}
+// startNode brings up lab/n<i> on a fresh TCP listener, recording into st
+// when it is not nil.
+func (f *gwFixture) startNode(t *testing.T, i int, st core.Store) *core.Node {
+	t.Helper()
+	net, err := tcpnet.Listen("127.0.0.1:0", func(a transport.Addr) (string, error) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		hp, ok := f.table[a]
+		if !ok {
+			return "", fmt.Errorf("no peer %v", a)
+		}
+		return hp, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { net.Close() })
+	f.nets[i] = net
+	addr := transport.Addr{Site: "lab", Host: fmt.Sprintf("n%d", i)}
+	cfg := f.cfg
+	cfg.Store = st
+	n, err := core.New(net, addr, f.reg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	f.table[addr] = net.ListenAddr()
+	f.mu.Unlock()
+	n.DoWait(func() {
+		n.SetAttribute("GPU", true)
+		n.SetDirectory(core.Directory{Sites: []string{"lab"}, Routers: map[string][]transport.Addr{
+			"lab": {addr},
+		}})
+	})
+	return n
+}
+
+// waitTree waits until the GPU tree holds both members.
+func (f *gwFixture) waitTree(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		var stats struct {
 			Count int64 `json:"count"`
 		}
 		if f.getJSON(t, "/trees/GPU", &stats) == http.StatusOK && stats.Count == 2 {
-			return f
+			return
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 	t.Fatal("GPU tree never converged to 2 members")
-	return nil
 }
 
 func (f *gwFixture) getJSON(t *testing.T, path string, out any) int {
@@ -357,6 +385,92 @@ func TestQueryHoldsNothing(t *testing.T) {
 			t.Fatalf("query %d found %q with %d conflicts in %d attempts, want %q with 0 in 1",
 				i+2, hosts(again), again.Conflicts, again.Attempts, hosts(first))
 		}
+	}
+}
+
+// restartGateway kills the gateway node and brings it back from a crash
+// copy of its disk the way rbayd -data-dir does: restore, rejoin through
+// n1, refederate, then a new gateway whose engine replays the op records.
+func (f *gwFixture) restartGateway(t *testing.T) {
+	t.Helper()
+	f.nets[0].Close()
+	log, state, err := store.Open(f.disk.CrashCopy(), store.Options{Policy: store.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	n := f.startNode(t, 0, log)
+	joined := make(chan struct{})
+	var joinErr error
+	n.DoWait(func() {
+		if joinErr = n.Restore(state); joinErr == nil {
+			joinErr = n.Pastry().JoinGlobal(f.nodes[1].Addr(), func() { close(joined) })
+		}
+	})
+	if joinErr != nil {
+		t.Fatal(joinErr)
+	}
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rejoin timed out")
+	}
+	n.DoWait(func() {
+		_ = n.Pastry().JoinSite(f.nodes[1].Addr(), nil)
+		n.Refederate()
+	})
+	gw := NewGateway(n, Options{Timeout: 15 * time.Second, OpsStore: log})
+	gw.Engine().Restore(state.Ops)
+	ts := httptest.NewServer(gw)
+	t.Cleanup(ts.Close)
+	f.ts, f.gw, f.nodes[0] = ts, gw, n
+	f.waitTree(t)
+}
+
+// TestReadAfterRestartKeepsCommitted: a read releases what it finds, so a
+// restarted gateway must never mint a query ID its previous process used.
+// Both nodes are committed to an op; after the gateway restarts from its
+// disk, reads until its query counter passes the op's find nothing, and
+// both leases still belong to the op.
+func TestReadAfterRestartKeepsCommitted(t *testing.T) {
+	f := newFixtureOpts(t, time.Minute, Options{Timeout: 15 * time.Second})
+	code, rop, _ := f.postOp(t, "/reserve", `{"query":"SELECT 2 FROM lab WHERE GPU = true;"}`, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("reserve submit = %d", code)
+	}
+	res := f.waitOp(t, rop.ID)
+	if res.State != ops.StateDone || len(res.Candidates) != 2 {
+		t.Fatalf("reserve ended %s with %d candidates: %s", res.State, len(res.Candidates), res.Error)
+	}
+	code, cop, _ := f.postOp(t, "/commit", `{"fromOp":"`+rop.ID+`"}`, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("commit submit = %d", code)
+	}
+	if fin := f.waitOp(t, cop.ID); fin.State != ops.StateDone {
+		t.Fatalf("commit ended %s: %s", fin.State, fin.Error)
+	}
+
+	f.restartGateway(t)
+	seq, err := strconv.Atoi(res.QueryID[strings.LastIndexAny(res.QueryID, "#.")+1:])
+	if err != nil {
+		t.Fatalf("query ID %q: %v", res.QueryID, err)
+	}
+	path := "/query?q=" + url.QueryEscape("SELECT * FROM lab WHERE GPU = true;")
+	for i := 0; i <= seq; i++ {
+		var r queryResponse
+		if code := f.getJSON(t, path, &r); code != http.StatusOK || len(r.Candidates) != 0 {
+			t.Fatalf("read %s after restart = %d %+v, want no candidates", r.QueryID, code, r)
+		}
+		if r.QueryID == res.QueryID {
+			t.Fatalf("restarted gateway reused query ID %s", r.QueryID)
+		}
+	}
+	for _, n := range f.nodes {
+		n.DoWait(func() {
+			if q, c, ok := n.Reserved(); !ok || !c || q != res.QueryID {
+				t.Errorf("%s: Reserved() = %q committed=%v held=%v, want %q committed", n.Addr(), q, c, ok, res.QueryID)
+			}
+		})
 	}
 }
 
