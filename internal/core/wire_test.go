@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"testing"
+	"time"
 
 	"rbay/internal/naming"
 	"rbay/internal/pastry"
@@ -108,6 +109,24 @@ func TestWireBytesPinned(t *testing.T) {
 		{viewAdminReq{ReqID: 9, Op: "list", Arg: "", Origin: origin}, "4f09046c69737400003dd6c4408ec132242c903f87120b6e220273310161"},
 		{viewAdminResp{ReqID: 9, Key: "k", QueryID: "q5", Cands: []Candidate{cand}, Shortfall: 1},
 			"500900016b0002713502066e6f64652d3702733202683702733206000000000000e83f02"},
+		{queryVisit{QueryID: "q1", K: 2, Preds: preds, OrderBy: "CPU_free", TreeAttr: "CPU_free", Caller: "alice",
+			Payload: map[string]any{"password": "x"}, Slots: []Candidate{cand, {}}, Conflicts: 3,
+			Exclude: []transport.Addr{{Site: "s1", Host: "h9"}}}, "4002713104020f4350555f7574696c697a6174696f6e013c069a9999999999b93f084350555f66726565084350555f6672656505616c6963650b020870617373776f726407017803066e6f64652d3702733202683702733206000000000000e83f00000000000602027331026839"},
+		{queryVisit{Slots: []Candidate{}}, "4000000000000000010000"},
+		{adminCmd{Attr: "OS", From: "admin", Payload: []any{"patch", 1}, SentAtNanos: 42}, "45024f530561646d696e0a0307057061746368030254"},
+		{cand, "46066e6f64652d3702733202683702733206000000000000e83f"},
+		{Candidate{}, "460000000000"},
+		{TreeStats{Count: 3, Sum: 1.5}, "4706000000000000f83f"},
+		{naming.Pred{Attr: "x", Op: naming.OpGe, Value: false}, "480178023e3d01"},
+		{[]Candidate{cand, {}}, "4903066e6f64652d3702733202683702733206000000000000e83f0000000000"},
+		{[]Candidate(nil), "4900"},
+		{viewRegMsg{Key: "k", Owner: origin, Preds: preds, OrderBy: "mem", TreeAttr: "CPU_free", Drop: true}, "4a016b3dd6c4408ec132242c903f87120b6e220273310161020f4350555f7574696c697a6174696f6e013c069a9999999999b93f036d656d084350555f6672656501"},
+		{viewSiteReg{Reg: viewRegMsg{Key: "k", Owner: origin}}, "4b016b3dd6c4408ec132242c903f87120b6e22027331016100000000"},
+		{viewUpdateMsg{Key: "k", Member: origin, Match: true, Cand: cand}, "4c016b3dd6c4408ec132242c903f87120b6e22027331016101066e6f64652d3702733202683702733206000000000000e83f"},
+		{viewAdminResp{ReqID: 10, Key: "k", Views: []ViewInfo{
+			{Key: "k", Entries: 3, Created: time.Unix(0, 1_700_000_000_123_456_789), LastRefresh: time.Unix(0, 1_700_000_001_000_000_000),
+				Staleness: 250 * time.Millisecond, Refreshes: 4, Updates: 300, Served: 2, Fallbacks: 1},
+			{Key: "z"}}}, "500a00016b03016b06aab4aed8c7bfce972f80a8a69ccebfce972f80cab5ee0104ac020201017a0000000000000000000000"},
 	} {
 		b, err := wire.Marshal(c.v)
 		if err != nil {
@@ -116,5 +135,17 @@ func TestWireBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(b); got != c.hex {
 			t.Errorf("%T encodes to\n  %s\nwant\n  %s", c.v, got, c.hex)
 		}
+		if n := encodeAllocs(c.v); n != 0 {
+			t.Errorf("encoding %T allocates %v times, want 0", c.v, n)
+		}
 	}
+}
+
+// encodeAllocs is what encoding v into a pooled encoder allocates.
+func encodeAllocs(v any) float64 {
+	return testing.AllocsPerRun(20, func() {
+		e := wire.GetEncoder()
+		e.Value(v)
+		wire.PutEncoder(e)
+	})
 }

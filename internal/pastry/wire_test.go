@@ -96,6 +96,15 @@ func TestWireBytesPinned(t *testing.T) {
 		{directEnvelope{App: "rbay", From: e2, Payload: uint64(9)}, "11047262617996946694b77efe24f0f554b0deba9df602733201620509"},
 		{probe{Seq: 300}, "17ac02"},
 		{probeAck{Seq: 300, Leaves: []Entry{e1}}, "18ac02023dd6c4408ec132242c903f87120b6e220273310161"},
+		{joinStart{Scope: "s1", Joiner: e1}, "120273313dd6c4408ec132242c903f87120b6e220273310161"},
+		{joinPayload{Joiner: e2}, "1396946694b77efe24f0f554b0deba9df60273320162"},
+		{joinRows{Scope: "s1", Rows: []Entry{e1, e2}}, "14027331033dd6c4408ec132242c903f87120b6e22027331016196946694b77efe24f0f554b0deba9df60273320162"},
+		{joinRows{Rows: []Entry{}}, "140001"},
+		{joinWelcome{Scope: "s2", Host: e2, Leaves: []Entry{e1}}, "1502733296946694b77efe24f0f554b0deba9df60273320162023dd6c4408ec132242c903f87120b6e220273310161"},
+		{joinWelcome{Host: e1}, "15003dd6c4408ec132242c903f87120b6e22027331016100"},
+		{announce{Scope: "s2", Who: e2}, "1602733296946694b77efe24f0f554b0deba9df60273320162"},
+		{repairReq{Scope: "s1"}, "19027331"},
+		{repairResp{Scope: "s1", Leaves: []Entry{e2, e1}}, "1a0273310396946694b77efe24f0f554b0deba9df602733201623dd6c4408ec132242c903f87120b6e220273310161"},
 	} {
 		b, err := wire.Marshal(c.v)
 		if err != nil {
@@ -104,7 +113,19 @@ func TestWireBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(b); got != c.hex {
 			t.Errorf("%T encodes to\n  %s\nwant\n  %s", c.v, got, c.hex)
 		}
+		if n := encodeAllocs(c.v); n != 0 {
+			t.Errorf("encoding %T allocates %v times, want 0", c.v, n)
+		}
 	}
+}
+
+// encodeAllocs is what encoding v into a pooled encoder allocates.
+func encodeAllocs(v any) float64 {
+	return testing.AllocsPerRun(20, func() {
+		e := wire.GetEncoder()
+		e.Value(v)
+		wire.PutEncoder(e)
+	})
 }
 
 // TestRetiredTagsDecodeToError: a peer built before the RPC envelopes were

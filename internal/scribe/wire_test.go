@@ -76,6 +76,16 @@ func TestWireBytesPinned(t *testing.T) {
 		{anycastDone{ID: 42, Payload: "done", Satisfied: true, Visits: 1, Hops: 2}, "312a0704646f6e65010204"},
 		{aggQueryMsg{ReqID: 77, Origin: e2}, "2e4d46a4d85e5b7158d989c46f532db6dc790273310162"},
 		{aggReplyMsg{ReqID: 77, Value: MeanValue{Sum: 1.5, Count: 3}}, "2f4d32000000000000f83f0600"},
+		{joinMsg{Child: e1}, "283dd6c4408ec132242c903f87120b6e220273310161"},
+		{childAckMsg{Topic: topic, Parent: e2}, "297ad61c5bded38effe7419a4f1c3a32b346a4d85e5b7158d989c46f532db6dc790273310162"},
+		{leaveMsg{Topic: topic, Child: e1}, "2a7ad61c5bded38effe7419a4f1c3a32b33dd6c4408ec132242c903f87120b6e220273310161"},
+		{multicastMsg{Payload: []string{"a", ""}}, "2b0803016100"},
+		{multicastMsg{}, "2b00"},
+		{downcastMsg{Topic: topic, Payload: map[string]any{"cmd": "drain"}}, "2c7ad61c5bded38effe7419a4f1c3a32b30b0203636d640705647261696e"},
+		{aggUpdateMsg{Topic: topic, Child: e1, Value: MeanValue{Sum: -2.5, Count: 10}}, "2d7ad61c5bded38effe7419a4f1c3a32b33dd6c4408ec132242c903f87120b6e2202733101613200000000000004c014"},
+		{replicaSyncMsg{Topic: topic, Scope: "s1", Root: e2, Epoch: 300, Value: MeanValue{Sum: 4, Count: 2}}, "337ad61c5bded38effe7419a4f1c3a32b302733146a4d85e5b7158d989c46f532db6dc790273310162ac0232000000000000104004"},
+		{rootClaimMsg{Topic: topic, Scope: "s1", Root: e1, Epoch: 7}, "347ad61c5bded38effe7419a4f1c3a32b30273313dd6c4408ec132242c903f87120b6e22027331016107"},
+		{MeanValue{Sum: 0.25, Count: -1}, "32000000000000d03f01"},
 	} {
 		b, err := wire.Marshal(c.v)
 		if err != nil {
@@ -84,5 +94,17 @@ func TestWireBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(b); got != c.hex {
 			t.Errorf("%T encodes to\n  %s\nwant\n  %s", c.v, got, c.hex)
 		}
+		if n := encodeAllocs(c.v); n != 0 {
+			t.Errorf("encoding %T allocates %v times, want 0", c.v, n)
+		}
 	}
+}
+
+// encodeAllocs is what encoding v into a pooled encoder allocates.
+func encodeAllocs(v any) float64 {
+	return testing.AllocsPerRun(20, func() {
+		e := wire.GetEncoder()
+		e.Value(v)
+		wire.PutEncoder(e)
+	})
 }
