@@ -118,14 +118,16 @@ fuzz-store-smoke:
 
 # The other interpreters of untrusted input, 5 s each in `make ci`: query
 # text (parse never panics and round-trips its canonical form), AA policy
-# scripts (compile and run never panic or overrun the step budget), and
-# wire frames and messages. A crasher goes under the package's
-# testdata/fuzz/ with its fix.
+# scripts (compile and run never panic or overrun the step budget), wire
+# frames and values, and every registered Pastry, Scribe and core message
+# (decode never panics; what decodes re-encodes to an equal value). A
+# crasher goes under the package's testdata/fuzz/ with its fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileRun$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/aal/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireMessage$$' -fuzztime 5s -test.fuzzminimizetime=2s ./internal/core/
 
 # The durable-write seam, layer by layer: what the event context pays per
 # record (BenchmarkAppend: no device call, no allocation), the barrier

@@ -2,10 +2,8 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"rbay/internal/naming"
-	"rbay/internal/pastry"
 	"rbay/internal/scribe"
 	"rbay/internal/transport"
 	"rbay/internal/wire"
@@ -36,470 +34,239 @@ const (
 
 var wireOnce sync.Once
 
-// RegisterWire registers explicit binary codecs for the RBAY core's
-// message types with internal/wire, for tcpnet deployments. Safe to call
-// multiple times.
+// RegisterWire registers the RBAY core's message types with
+// internal/wire, for tcpnet deployments. Each type's layout is its fields
+// method below. Safe to call multiple times.
 func RegisterWire() {
 	scribe.RegisterWire()
 	wireOnce.Do(func() {
-		wire.Register[queryVisit](tagQueryVisit,
-			func(e *wire.Encoder, v queryVisit) {
-				e.String(v.QueryID)
-				e.Varint(int64(v.K))
-				encodePreds(e, v.Preds)
-				e.String(v.OrderBy)
-				e.String(v.TreeAttr)
-				e.String(v.Caller)
-				e.Value(v.Payload)
-				encodeCandidates(e, v.Slots)
-				e.Varint(int64(v.Conflicts))
-				encodeAddrs(e, v.Exclude)
-			},
-			func(d *wire.Decoder) queryVisit {
-				var v queryVisit
-				v.QueryID = d.String()
-				v.K = int(d.Varint())
-				v.Preds = decodePreds(d)
-				v.OrderBy = d.String()
-				v.TreeAttr = d.String()
-				v.Caller = d.String()
-				v.Payload = d.Value()
-				v.Slots = decodeCandidates(d)
-				v.Conflicts = int(d.Varint())
-				v.Exclude = decodeAddrs(d)
-				return v
-			})
-		wire.Register[siteQueryReq](tagSiteQueryReq,
-			func(e *wire.Encoder, v siteQueryReq) {
-				e.Uvarint(v.ReqID)
-				e.String(v.QueryID)
-				e.Varint(int64(v.K))
-				encodePreds(e, v.Preds)
-				e.String(v.OrderBy)
-				e.String(v.Caller)
-				e.Value(v.Payload)
-				pastry.EncodeEntry(e, v.Origin)
-				encodeAddrs(e, v.Exclude)
-			},
-			func(d *wire.Decoder) siteQueryReq {
-				var v siteQueryReq
-				v.ReqID = d.Uvarint()
-				v.QueryID = d.String()
-				v.K = int(d.Varint())
-				v.Preds = decodePreds(d)
-				v.OrderBy = d.String()
-				v.Caller = d.String()
-				v.Payload = d.Value()
-				v.Origin = pastry.DecodeEntry(d)
-				v.Exclude = decodeAddrs(d)
-				return v
-			})
-		wire.Register[siteQueryResp](tagSiteQueryResp,
-			func(e *wire.Encoder, v siteQueryResp) {
-				e.Uvarint(v.ReqID)
-				e.String(v.QueryID)
-				e.String(v.Site)
-				encodeCandidates(e, v.Candidates)
-				e.Varint(int64(v.Conflicts))
-				e.Varint(v.TreeSize)
-				e.String(v.Err)
-				encodeProbes(e, v.Probes)
-				e.Varint(v.AnycastNanos)
-				e.Varint(int64(v.Visits))
-				e.Varint(int64(v.Hops))
-			},
-			func(d *wire.Decoder) siteQueryResp {
-				var v siteQueryResp
-				v.ReqID = d.Uvarint()
-				v.QueryID = d.String()
-				v.Site = d.String()
-				v.Candidates = decodeCandidates(d)
-				v.Conflicts = int(d.Varint())
-				v.TreeSize = d.Varint()
-				v.Err = d.String()
-				v.Probes = decodeProbes(d)
-				v.AnycastNanos = d.Varint()
-				v.Visits = int(d.Varint())
-				v.Hops = int(d.Varint())
-				return v
-			})
-		wire.Register[commitReq](tagCommitReq,
-			func(e *wire.Encoder, v commitReq) {
-				e.String(v.QueryID)
-				e.Uvarint(v.ReqID)
-			},
-			func(d *wire.Decoder) commitReq {
-				return commitReq{QueryID: d.String(), ReqID: d.Uvarint()}
-			})
-		wire.Register[releaseReq](tagReleaseReq,
-			func(e *wire.Encoder, v releaseReq) {
-				e.String(v.QueryID)
-				e.Uvarint(v.ReqID)
-			},
-			func(d *wire.Decoder) releaseReq {
-				return releaseReq{QueryID: d.String(), ReqID: d.Uvarint()}
-			})
-		wire.Register[opAck](tagOpAck,
-			func(e *wire.Encoder, v opAck) {
-				e.Uvarint(v.ReqID)
-				e.Bool(v.Matched)
-			},
-			func(d *wire.Decoder) opAck {
-				return opAck{ReqID: d.Uvarint(), Matched: d.Bool()}
-			})
-		wire.Register[adminCmd](tagAdminCmd,
-			func(e *wire.Encoder, v adminCmd) {
-				e.String(v.Attr)
-				e.String(v.From)
-				e.Value(v.Payload)
-				e.Varint(v.SentAtNanos)
-			},
-			func(d *wire.Decoder) adminCmd {
-				var v adminCmd
-				v.Attr = d.String()
-				v.From = d.String()
-				v.Payload = d.Value()
-				v.SentAtNanos = d.Varint()
-				return v
-			})
-		wire.Register[Candidate](tagCandidate, encodeCandidate, decodeCandidate)
-		wire.Register[TreeStats](tagTreeStats,
-			func(e *wire.Encoder, v TreeStats) {
-				e.Varint(v.Count)
-				e.Float64(v.Sum)
-			},
-			func(d *wire.Decoder) TreeStats {
-				return TreeStats{Count: d.Varint(), Sum: d.Float64()}
-			})
-		wire.Register[naming.Pred](tagPred, encodePred, decodePred)
-		wire.Register[[]Candidate](tagCandidates, encodeCandidates, decodeCandidates)
-		wire.Register[viewRegMsg](tagViewRegMsg, encodeViewReg, decodeViewReg)
-		wire.Register[viewSiteReg](tagViewSiteReg,
-			func(e *wire.Encoder, v viewSiteReg) { encodeViewReg(e, v.Reg) },
-			func(d *wire.Decoder) viewSiteReg { return viewSiteReg{Reg: decodeViewReg(d)} })
-		wire.Register[viewUpdateMsg](tagViewUpdateMsg,
-			func(e *wire.Encoder, v viewUpdateMsg) {
-				e.String(v.Key)
-				pastry.EncodeEntry(e, v.Member)
-				e.Bool(v.Match)
-				encodeCandidate(e, v.Cand)
-			},
-			func(d *wire.Decoder) viewUpdateMsg {
-				var v viewUpdateMsg
-				v.Key = d.String()
-				v.Member = pastry.DecodeEntry(d)
-				v.Match = d.Bool()
-				v.Cand = decodeCandidate(d)
-				return v
-			})
-		wire.Register[viewReserveReq](tagViewReserveReq,
-			func(e *wire.Encoder, v viewReserveReq) {
-				e.Uvarint(v.ReqID)
-				e.String(v.QueryID)
-				e.String(v.Key)
-				encodePreds(e, v.Preds)
-				e.String(v.OrderBy)
-				e.String(v.TreeAttr)
-				e.String(v.Caller)
-				e.Value(v.Payload)
-				pastry.EncodeEntry(e, v.Origin)
-			},
-			func(d *wire.Decoder) viewReserveReq {
-				var v viewReserveReq
-				v.ReqID = d.Uvarint()
-				v.QueryID = d.String()
-				v.Key = d.String()
-				v.Preds = decodePreds(d)
-				v.OrderBy = d.String()
-				v.TreeAttr = d.String()
-				v.Caller = d.String()
-				v.Payload = d.Value()
-				v.Origin = pastry.DecodeEntry(d)
-				return v
-			})
-		wire.Register[viewReserveResp](tagViewReserveResp,
-			func(e *wire.Encoder, v viewReserveResp) {
-				e.Uvarint(v.ReqID)
-				e.String(v.QueryID)
-				e.Bool(v.OK)
-				e.Bool(v.Conflict)
-				encodeCandidate(e, v.Cand)
-			},
-			func(d *wire.Decoder) viewReserveResp {
-				var v viewReserveResp
-				v.ReqID = d.Uvarint()
-				v.QueryID = d.String()
-				v.OK = d.Bool()
-				v.Conflict = d.Bool()
-				v.Cand = decodeCandidate(d)
-				return v
-			})
-		wire.Register[viewAdminReq](tagViewAdminReq,
-			func(e *wire.Encoder, v viewAdminReq) {
-				e.Uvarint(v.ReqID)
-				e.String(v.Op)
-				e.String(v.Arg)
-				e.Value(v.Payload)
-				pastry.EncodeEntry(e, v.Origin)
-			},
-			func(d *wire.Decoder) viewAdminReq {
-				var v viewAdminReq
-				v.ReqID = d.Uvarint()
-				v.Op = d.String()
-				v.Arg = d.String()
-				v.Payload = d.Value()
-				v.Origin = pastry.DecodeEntry(d)
-				return v
-			})
-		wire.Register[viewAdminResp](tagViewAdminResp,
-			func(e *wire.Encoder, v viewAdminResp) {
-				e.Uvarint(v.ReqID)
-				e.String(v.Err)
-				e.String(v.Key)
-				encodeViewInfos(e, v.Views)
-				e.String(v.QueryID)
-				encodeCandidates(e, v.Cands)
-				e.Varint(int64(v.Shortfall))
-			},
-			func(d *wire.Decoder) viewAdminResp {
-				var v viewAdminResp
-				v.ReqID = d.Uvarint()
-				v.Err = d.String()
-				v.Key = d.String()
-				v.Views = decodeViewInfos(d)
-				v.QueryID = d.String()
-				v.Cands = decodeCandidates(d)
-				v.Shortfall = int(d.Varint())
-				return v
-			})
+		wire.Register(tagQueryVisit,
+			func(e *wire.Encoder, v queryVisit) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v queryVisit) { v.fields(d.Coder()); return })
+		wire.Register(tagSiteQueryReq,
+			func(e *wire.Encoder, v siteQueryReq) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v siteQueryReq) { v.fields(d.Coder()); return })
+		wire.Register(tagSiteQueryResp,
+			func(e *wire.Encoder, v siteQueryResp) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v siteQueryResp) { v.fields(d.Coder()); return })
+		wire.Register(tagCommitReq,
+			func(e *wire.Encoder, v commitReq) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v commitReq) { v.fields(d.Coder()); return })
+		wire.Register(tagReleaseReq,
+			func(e *wire.Encoder, v releaseReq) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v releaseReq) { v.fields(d.Coder()); return })
+		wire.Register(tagOpAck,
+			func(e *wire.Encoder, v opAck) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v opAck) { v.fields(d.Coder()); return })
+		wire.Register(tagAdminCmd,
+			func(e *wire.Encoder, v adminCmd) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v adminCmd) { v.fields(d.Coder()); return })
+		wire.Register(tagCandidate,
+			func(e *wire.Encoder, v Candidate) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v Candidate) { v.fields(d.Coder()); return })
+		wire.Register(tagTreeStats,
+			func(e *wire.Encoder, v TreeStats) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v TreeStats) { v.fields(d.Coder()); return })
+		wire.Register(tagPred,
+			func(e *wire.Encoder, v naming.Pred) { predFields(&v, e.Coder()) },
+			func(d *wire.Decoder) (v naming.Pred) { predFields(&v, d.Coder()); return })
+		wire.Register(tagCandidates,
+			func(e *wire.Encoder, v []Candidate) { candidates(e.Coder(), &v) },
+			func(d *wire.Decoder) (v []Candidate) { candidates(d.Coder(), &v); return })
+		wire.Register(tagViewRegMsg,
+			func(e *wire.Encoder, v viewRegMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewRegMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagViewSiteReg,
+			func(e *wire.Encoder, v viewSiteReg) { v.Reg.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewSiteReg) { v.Reg.fields(d.Coder()); return })
+		wire.Register(tagViewUpdateMsg,
+			func(e *wire.Encoder, v viewUpdateMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewUpdateMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagViewReserveReq,
+			func(e *wire.Encoder, v viewReserveReq) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewReserveReq) { v.fields(d.Coder()); return })
+		wire.Register(tagViewReserveResp,
+			func(e *wire.Encoder, v viewReserveResp) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewReserveResp) { v.fields(d.Coder()); return })
+		wire.Register(tagViewAdminReq,
+			func(e *wire.Encoder, v viewAdminReq) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewAdminReq) { v.fields(d.Coder()); return })
+		wire.Register(tagViewAdminResp,
+			func(e *wire.Encoder, v viewAdminResp) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v viewAdminResp) { v.fields(d.Coder()); return })
 	})
 }
 
-func encodeViewReg(e *wire.Encoder, v viewRegMsg) {
-	e.String(v.Key)
-	pastry.EncodeEntry(e, v.Owner)
-	encodePreds(e, v.Preds)
-	e.String(v.OrderBy)
-	e.String(v.TreeAttr)
-	e.Bool(v.Drop)
+// The fewest bytes one list element encodes to: every string, varint and
+// bool at least one byte, a nil value its tag byte.
+const (
+	candidateMinLen = 5 // NodeID, Addr (2), Site, SortKey
+	predMinLen      = 3
+	probeMinLen     = 4
+	viewInfoMinLen  = 9
+	addrMinLen      = 2
+)
+
+func candidates(c *wire.Coder, s *[]Candidate) {
+	wire.List(c, s, candidateMinLen, (*Candidate).fields)
 }
 
-func decodeViewReg(d *wire.Decoder) viewRegMsg {
-	var v viewRegMsg
-	v.Key = d.String()
-	v.Owner = pastry.DecodeEntry(d)
-	v.Preds = decodePreds(d)
-	v.OrderBy = d.String()
-	v.TreeAttr = d.String()
-	v.Drop = d.Bool()
-	return v
+func preds(c *wire.Coder, s *[]naming.Pred) { wire.List(c, s, predMinLen, predFields) }
+
+func addrs(c *wire.Coder, s *[]transport.Addr) {
+	wire.List(c, s, addrMinLen, func(a *transport.Addr, c *wire.Coder) { c.Addr(a) })
 }
 
-func encodeViewInfos(e *wire.Encoder, vs []ViewInfo) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.String(v.Key)
-		e.Varint(int64(v.Entries))
-		e.Varint(timeNanos(v.Created))
-		e.Varint(timeNanos(v.LastRefresh))
-		e.Varint(int64(v.Staleness))
-		e.Uvarint(v.Refreshes)
-		e.Uvarint(v.Updates)
-		e.Uvarint(v.Served)
-		e.Uvarint(v.Fallbacks)
-	}
+func (v *queryVisit) fields(c *wire.Coder) {
+	c.String(&v.QueryID)
+	c.Int(&v.K)
+	preds(c, &v.Preds)
+	c.String(&v.OrderBy)
+	c.String(&v.TreeAttr)
+	c.String(&v.Caller)
+	c.Value(&v.Payload)
+	candidates(c, &v.Slots)
+	c.Int(&v.Conflicts)
+	addrs(c, &v.Exclude)
 }
 
-func decodeViewInfos(d *wire.Decoder) []ViewInfo {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	if maxN := d.Remaining() / 9; n > maxN {
-		n = maxN
-	}
-	out := make([]ViewInfo, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		var v ViewInfo
-		v.Key = d.String()
-		v.Entries = int(d.Varint())
-		v.Created = nanosTime(d.Varint())
-		v.LastRefresh = nanosTime(d.Varint())
-		v.Staleness = time.Duration(d.Varint())
-		v.Refreshes = d.Uvarint()
-		v.Updates = d.Uvarint()
-		v.Served = d.Uvarint()
-		v.Fallbacks = d.Uvarint()
-		out = append(out, v)
-	}
-	return out
+func (v *siteQueryReq) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.QueryID)
+	c.Int(&v.K)
+	preds(c, &v.Preds)
+	c.String(&v.OrderBy)
+	c.String(&v.Caller)
+	c.Value(&v.Payload)
+	v.Origin.Fields(c)
+	addrs(c, &v.Exclude)
 }
 
-// timeNanos / nanosTime round-trip a time through the wire, preserving
-// the zero value (time.Time's zero would not survive UnixNano).
-func timeNanos(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
+func (v *siteQueryResp) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.QueryID)
+	c.String(&v.Site)
+	candidates(c, &v.Candidates)
+	c.Int(&v.Conflicts)
+	c.Varint(&v.TreeSize)
+	c.String(&v.Err)
+	wire.List(c, &v.Probes, probeMinLen, (*treeProbe).fields)
+	c.Varint(&v.AnycastNanos)
+	c.Int(&v.Visits)
+	c.Int(&v.Hops)
 }
 
-func nanosTime(n int64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
+func (p *treeProbe) fields(c *wire.Coder) {
+	c.String(&p.Tree)
+	c.Varint(&p.Size)
+	c.Bool(&p.Missing)
+	c.Varint(&p.Nanos)
 }
 
-func encodeCandidate(e *wire.Encoder, c Candidate) {
-	e.String(c.NodeID)
-	e.Addr(c.Addr)
-	e.String(c.Site)
-	e.Value(c.SortKey)
+func (v *commitReq) fields(c *wire.Coder) {
+	c.String(&v.QueryID)
+	c.Uvarint(&v.ReqID)
 }
 
-func decodeCandidate(d *wire.Decoder) Candidate {
-	var c Candidate
-	c.NodeID = d.String()
-	c.Addr = d.Addr()
-	c.Site = d.String()
-	c.SortKey = d.Value()
-	return c
+func (v *releaseReq) fields(c *wire.Coder) {
+	c.String(&v.QueryID)
+	c.Uvarint(&v.ReqID)
 }
 
-func encodeCandidates(e *wire.Encoder, cs []Candidate) {
-	if cs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(cs)) + 1)
-	for _, c := range cs {
-		encodeCandidate(e, c)
-	}
+func (v *opAck) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.Bool(&v.Matched)
 }
 
-func decodeCandidates(d *wire.Decoder) []Candidate {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	// An encoded Candidate is at least 3 empty strings + addr + nil key.
-	if maxN := d.Remaining() / 6; n > maxN {
-		n = maxN
-	}
-	out := make([]Candidate, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		out = append(out, decodeCandidate(d))
-	}
-	return out
+func (v *adminCmd) fields(c *wire.Coder) {
+	c.String(&v.Attr)
+	c.String(&v.From)
+	c.Value(&v.Payload)
+	c.Varint(&v.SentAtNanos)
 }
 
-func encodeAddrs(e *wire.Encoder, as []transport.Addr) {
-	if as == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(as)) + 1)
-	for _, a := range as {
-		e.Addr(a)
-	}
+func (v *Candidate) fields(c *wire.Coder) {
+	c.String(&v.NodeID)
+	c.Addr(&v.Addr)
+	c.String(&v.Site)
+	c.Value(&v.SortKey)
 }
 
-func decodeAddrs(d *wire.Decoder) []transport.Addr {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	// An encoded Addr is at least 2 empty strings.
-	if maxN := d.Remaining() / 2; n > maxN {
-		n = maxN
-	}
-	out := make([]transport.Addr, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		out = append(out, d.Addr())
-	}
-	return out
+func (v *TreeStats) fields(c *wire.Coder) {
+	c.Varint(&v.Count)
+	c.Float64(&v.Sum)
 }
 
-func encodePred(e *wire.Encoder, p naming.Pred) {
-	e.String(p.Attr)
-	e.String(string(p.Op))
-	e.Value(p.Value)
+// predFields is naming.Pred's layout (a method cannot live outside its
+// package).
+func predFields(p *naming.Pred, c *wire.Coder) {
+	c.String(&p.Attr)
+	c.String((*string)(&p.Op))
+	c.Value(&p.Value)
 }
 
-func decodePred(d *wire.Decoder) naming.Pred {
-	var p naming.Pred
-	p.Attr = d.String()
-	p.Op = naming.Op(d.String())
-	p.Value = d.Value()
-	return p
+func (v *viewRegMsg) fields(c *wire.Coder) {
+	c.String(&v.Key)
+	v.Owner.Fields(c)
+	preds(c, &v.Preds)
+	c.String(&v.OrderBy)
+	c.String(&v.TreeAttr)
+	c.Bool(&v.Drop)
 }
 
-func encodePreds(e *wire.Encoder, ps []naming.Pred) {
-	if ps == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(ps)) + 1)
-	for _, p := range ps {
-		encodePred(e, p)
-	}
+func (v *viewUpdateMsg) fields(c *wire.Coder) {
+	c.String(&v.Key)
+	v.Member.Fields(c)
+	c.Bool(&v.Match)
+	v.Cand.fields(c)
 }
 
-func decodePreds(d *wire.Decoder) []naming.Pred {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	if maxN := d.Remaining() / 3; n > maxN {
-		n = maxN
-	}
-	out := make([]naming.Pred, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		out = append(out, decodePred(d))
-	}
-	return out
+func (v *viewReserveReq) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.QueryID)
+	c.String(&v.Key)
+	preds(c, &v.Preds)
+	c.String(&v.OrderBy)
+	c.String(&v.TreeAttr)
+	c.String(&v.Caller)
+	c.Value(&v.Payload)
+	v.Origin.Fields(c)
 }
 
-func encodeProbes(e *wire.Encoder, ps []treeProbe) {
-	if ps == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(ps)) + 1)
-	for _, p := range ps {
-		e.String(p.Tree)
-		e.Varint(p.Size)
-		e.Bool(p.Missing)
-		e.Varint(p.Nanos)
-	}
+func (v *viewReserveResp) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.QueryID)
+	c.Bool(&v.OK)
+	c.Bool(&v.Conflict)
+	v.Cand.fields(c)
 }
 
-func decodeProbes(d *wire.Decoder) []treeProbe {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	if maxN := d.Remaining() / 4; n > maxN {
-		n = maxN
-	}
-	out := make([]treeProbe, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		var p treeProbe
-		p.Tree = d.String()
-		p.Size = d.Varint()
-		p.Missing = d.Bool()
-		p.Nanos = d.Varint()
-		out = append(out, p)
-	}
-	return out
+func (v *viewAdminReq) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.Op)
+	c.String(&v.Arg)
+	c.Value(&v.Payload)
+	v.Origin.Fields(c)
+}
+
+func (v *viewAdminResp) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.String(&v.Err)
+	c.String(&v.Key)
+	wire.List(c, &v.Views, viewInfoMinLen, (*ViewInfo).fields)
+	c.String(&v.QueryID)
+	candidates(c, &v.Cands)
+	c.Int(&v.Shortfall)
+}
+
+func (v *ViewInfo) fields(c *wire.Coder) {
+	c.String(&v.Key)
+	c.Int(&v.Entries)
+	c.Time(&v.Created)
+	c.Time(&v.LastRefresh)
+	c.Varint((*int64)(&v.Staleness))
+	c.Uvarint(&v.Refreshes)
+	c.Uvarint(&v.Updates)
+	c.Uvarint(&v.Served)
+	c.Uvarint(&v.Fallbacks)
 }

@@ -71,7 +71,8 @@ func TestWireCorruptEntries(t *testing.T) {
 	defer wire.PutEncoder(e)
 	e.Uvarint(1 << 40) // absurd count with no data behind it
 	d := wire.NewDecoder(e.Bytes())
-	out := DecodeEntries(d)
+	var out []Entry
+	entries(d.Coder(), &out)
 	if d.Err() == nil {
 		t.Fatalf("expected error, got %d entries", len(out))
 	}

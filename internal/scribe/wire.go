@@ -27,173 +27,121 @@ const (
 
 var wireOnce sync.Once
 
-// RegisterWire registers explicit binary codecs for Scribe's message types
-// with internal/wire, for tcpnet deployments. Safe to call multiple times.
+// RegisterWire registers Scribe's message types with internal/wire, for
+// tcpnet deployments. Each type's layout is its fields method below. Safe
+// to call multiple times.
 func RegisterWire() {
 	pastry.RegisterWire()
 	wireOnce.Do(func() {
-		wire.Register[joinMsg](tagJoinMsg,
-			func(e *wire.Encoder, v joinMsg) { pastry.EncodeEntry(e, v.Child) },
-			func(d *wire.Decoder) joinMsg { return joinMsg{Child: pastry.DecodeEntry(d)} })
-		wire.Register[childAckMsg](tagChildAckMsg,
-			func(e *wire.Encoder, v childAckMsg) {
-				e.ID(v.Topic)
-				pastry.EncodeEntry(e, v.Parent)
-			},
-			func(d *wire.Decoder) childAckMsg {
-				return childAckMsg{Topic: d.ID(), Parent: pastry.DecodeEntry(d)}
-			})
-		wire.Register[leaveMsg](tagLeaveMsg,
-			func(e *wire.Encoder, v leaveMsg) {
-				e.ID(v.Topic)
-				pastry.EncodeEntry(e, v.Child)
-			},
-			func(d *wire.Decoder) leaveMsg {
-				return leaveMsg{Topic: d.ID(), Child: pastry.DecodeEntry(d)}
-			})
-		wire.Register[multicastMsg](tagMulticastMsg,
-			func(e *wire.Encoder, v multicastMsg) { e.Value(v.Payload) },
-			func(d *wire.Decoder) multicastMsg { return multicastMsg{Payload: d.Value()} })
-		wire.Register[downcastMsg](tagDowncastMsg,
-			func(e *wire.Encoder, v downcastMsg) {
-				e.ID(v.Topic)
-				e.Value(v.Payload)
-			},
-			func(d *wire.Decoder) downcastMsg {
-				return downcastMsg{Topic: d.ID(), Payload: d.Value()}
-			})
-		wire.Register[aggUpdateMsg](tagAggUpdateMsg,
-			func(e *wire.Encoder, v aggUpdateMsg) {
-				e.ID(v.Topic)
-				pastry.EncodeEntry(e, v.Child)
-				e.Value(v.Value)
-			},
-			func(d *wire.Decoder) aggUpdateMsg {
-				return aggUpdateMsg{Topic: d.ID(), Child: pastry.DecodeEntry(d), Value: d.Value()}
-			})
-		wire.Register[aggQueryMsg](tagAggQueryMsg,
-			func(e *wire.Encoder, v aggQueryMsg) {
-				e.Uvarint(v.ReqID)
-				pastry.EncodeEntry(e, v.Origin)
-			},
-			func(d *wire.Decoder) aggQueryMsg {
-				return aggQueryMsg{ReqID: d.Uvarint(), Origin: pastry.DecodeEntry(d)}
-			})
-		wire.Register[aggReplyMsg](tagAggReplyMsg,
-			func(e *wire.Encoder, v aggReplyMsg) {
-				e.Uvarint(v.ReqID)
-				e.Value(v.Value)
-				e.Bool(v.NoTree)
-			},
-			func(d *wire.Decoder) aggReplyMsg {
-				return aggReplyMsg{ReqID: d.Uvarint(), Value: d.Value(), NoTree: d.Bool()}
-			})
-		wire.Register[anycastMsg](tagAnycastMsg,
-			func(e *wire.Encoder, v anycastMsg) {
-				e.ID(v.Topic)
-				e.Uvarint(v.ID)
-				pastry.EncodeEntry(e, v.Origin)
-				e.Value(v.Payload)
-				encodeIDList(e, v.Visited)
-				pastry.EncodeEntries(e, v.Stack)
-				e.Varint(int64(v.Visits))
-				e.Varint(int64(v.Hops))
-			},
-			func(d *wire.Decoder) anycastMsg {
-				var v anycastMsg
-				v.Topic = d.ID()
-				v.ID = d.Uvarint()
-				v.Origin = pastry.DecodeEntry(d)
-				v.Payload = d.Value()
-				v.Visited = decodeIDList(d)
-				v.Stack = pastry.DecodeEntries(d)
-				v.Visits = int(d.Varint())
-				v.Hops = int(d.Varint())
-				return v
-			})
-		wire.Register[anycastDone](tagAnycastDone,
-			func(e *wire.Encoder, v anycastDone) {
-				e.Uvarint(v.ID)
-				e.Value(v.Payload)
-				e.Bool(v.Satisfied)
-				e.Varint(int64(v.Visits))
-				e.Varint(int64(v.Hops))
-			},
-			func(d *wire.Decoder) anycastDone {
-				var v anycastDone
-				v.ID = d.Uvarint()
-				v.Payload = d.Value()
-				v.Satisfied = d.Bool()
-				v.Visits = int(d.Varint())
-				v.Hops = int(d.Varint())
-				return v
-			})
-		wire.Register[replicaSyncMsg](tagReplicaSyncMsg,
-			func(e *wire.Encoder, v replicaSyncMsg) {
-				e.ID(v.Topic)
-				e.String(v.Scope)
-				pastry.EncodeEntry(e, v.Root)
-				e.Uvarint(v.Epoch)
-				e.Value(v.Value)
-			},
-			func(d *wire.Decoder) replicaSyncMsg {
-				var v replicaSyncMsg
-				v.Topic = d.ID()
-				v.Scope = d.String()
-				v.Root = pastry.DecodeEntry(d)
-				v.Epoch = d.Uvarint()
-				v.Value = d.Value()
-				return v
-			})
-		wire.Register[rootClaimMsg](tagRootClaimMsg,
-			func(e *wire.Encoder, v rootClaimMsg) {
-				e.ID(v.Topic)
-				e.String(v.Scope)
-				pastry.EncodeEntry(e, v.Root)
-				e.Uvarint(v.Epoch)
-			},
-			func(d *wire.Decoder) rootClaimMsg {
-				var v rootClaimMsg
-				v.Topic = d.ID()
-				v.Scope = d.String()
-				v.Root = pastry.DecodeEntry(d)
-				v.Epoch = d.Uvarint()
-				return v
-			})
-		wire.Register[MeanValue](tagMeanValue,
-			func(e *wire.Encoder, v MeanValue) {
-				e.Float64(v.Sum)
-				e.Varint(v.Count)
-			},
-			func(d *wire.Decoder) MeanValue {
-				return MeanValue{Sum: d.Float64(), Count: d.Varint()}
-			})
+		wire.Register(tagJoinMsg,
+			func(e *wire.Encoder, v joinMsg) { v.Child.Fields(e.Coder()) },
+			func(d *wire.Decoder) (v joinMsg) { v.Child.Fields(d.Coder()); return })
+		wire.Register(tagChildAckMsg,
+			func(e *wire.Encoder, v childAckMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v childAckMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagLeaveMsg,
+			func(e *wire.Encoder, v leaveMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v leaveMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagMulticastMsg,
+			func(e *wire.Encoder, v multicastMsg) { e.Coder().Value(&v.Payload) },
+			func(d *wire.Decoder) (v multicastMsg) { d.Coder().Value(&v.Payload); return })
+		wire.Register(tagDowncastMsg,
+			func(e *wire.Encoder, v downcastMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v downcastMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagAggUpdateMsg,
+			func(e *wire.Encoder, v aggUpdateMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v aggUpdateMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagAggQueryMsg,
+			func(e *wire.Encoder, v aggQueryMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v aggQueryMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagAggReplyMsg,
+			func(e *wire.Encoder, v aggReplyMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v aggReplyMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagAnycastMsg,
+			func(e *wire.Encoder, v anycastMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v anycastMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagAnycastDone,
+			func(e *wire.Encoder, v anycastDone) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v anycastDone) { v.fields(d.Coder()); return })
+		wire.Register(tagReplicaSyncMsg,
+			func(e *wire.Encoder, v replicaSyncMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v replicaSyncMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagRootClaimMsg,
+			func(e *wire.Encoder, v rootClaimMsg) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v rootClaimMsg) { v.fields(d.Coder()); return })
+		wire.Register(tagMeanValue,
+			func(e *wire.Encoder, v MeanValue) { v.fields(e.Coder()) },
+			func(d *wire.Decoder) (v MeanValue) { v.fields(d.Coder()); return })
 	})
 }
 
-func encodeIDList(e *wire.Encoder, list []ids.ID) {
-	if list == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(list)) + 1)
-	for _, id := range list {
-		e.ID(id)
-	}
+func (v *childAckMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	v.Parent.Fields(c)
 }
 
-func decodeIDList(d *wire.Decoder) []ids.ID {
-	u := d.Uvarint()
-	if u == 0 {
-		return nil
-	}
-	n := int(u - 1)
-	if maxN := d.Remaining() / len(ids.ID{}); n > maxN {
-		n = maxN
-	}
-	out := make([]ids.ID, 0, n)
-	for i := 0; i < int(u-1) && d.Err() == nil; i++ {
-		out = append(out, d.ID())
-	}
-	return out
+func (v *leaveMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	v.Child.Fields(c)
+}
+
+func (v *downcastMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	c.Value(&v.Payload)
+}
+
+func (v *aggUpdateMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	v.Child.Fields(c)
+	c.Value(&v.Value)
+}
+
+func (v *aggQueryMsg) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	v.Origin.Fields(c)
+}
+
+func (v *aggReplyMsg) fields(c *wire.Coder) {
+	c.Uvarint(&v.ReqID)
+	c.Value(&v.Value)
+	c.Bool(&v.NoTree)
+}
+
+func (v *anycastMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	c.Uvarint(&v.ID)
+	v.Origin.Fields(c)
+	c.Value(&v.Payload)
+	wire.List(c, &v.Visited, len(ids.ID{}), func(id *ids.ID, c *wire.Coder) { c.ID(id) })
+	wire.List(c, &v.Stack, pastry.EntryMinLen, (*pastry.Entry).Fields)
+	c.Int(&v.Visits)
+	c.Int(&v.Hops)
+}
+
+func (v *anycastDone) fields(c *wire.Coder) {
+	c.Uvarint(&v.ID)
+	c.Value(&v.Payload)
+	c.Bool(&v.Satisfied)
+	c.Int(&v.Visits)
+	c.Int(&v.Hops)
+}
+
+func (v *replicaSyncMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	c.String(&v.Scope)
+	v.Root.Fields(c)
+	c.Uvarint(&v.Epoch)
+	c.Value(&v.Value)
+}
+
+func (v *rootClaimMsg) fields(c *wire.Coder) {
+	c.ID(&v.Topic)
+	c.String(&v.Scope)
+	v.Root.Fields(c)
+	c.Uvarint(&v.Epoch)
+}
+
+func (v *MeanValue) fields(c *wire.Coder) {
+	c.Float64(&v.Sum)
+	c.Varint(&v.Count)
 }

@@ -16,11 +16,11 @@ import (
 //
 //	body := kind(byte) seq(uvarint) payload
 //
-// and one registered kind per record operation. This file is the only
-// place that knows the on-disk bytes: the kind table, the value tags and
-// the snapshot layout. A data dir holds nothing else; bytes that pass
-// their checksum but do not decode make Open fail rather than be
-// dropped (docs/RECOVERY.md).
+// and one kind per record operation, whose payload layout is its case in
+// record.fields. This file is the only place that knows the on-disk
+// bytes: the kind table, the value tags and the snapshot layout. A data
+// dir holds nothing else; bytes that pass their checksum but do not
+// decode make Open fail rather than be dropped (docs/RECOVERY.md).
 const (
 	kindSet      byte = 1  // attribute value posted/updated
 	kindSetBatch byte = 2  // coalesced attribute batch (one frame, many keys)
@@ -34,6 +34,15 @@ const (
 	kindSnapshot byte = 10 // the snapshot file's single frame
 )
 
+// kindNames names each kind in errors. Kind 0 is never written: a zeroed
+// byte must not decode as a record.
+var kindNames = [...]string{kindSet: "set", kindSetBatch: "setb", kindDelete: "del", kindAttach: "attach",
+	kindReserve: "reserve", kindCommit: "commit", kindRelease: "release", kindOpUpsert: "op", kindOpDelete: "opdel",
+	kindSnapshot: "snapshot"}
+
+// isRecordKind reports whether a WAL frame may carry kind.
+func isRecordKind(kind byte) bool { return kind >= kindSet && kind <= kindOpDelete }
+
 // maxRecordLen bounds one WAL record's payload; a longer length prefix
 // means the tail is garbage, not a record.
 const maxRecordLen = 1 << 24
@@ -42,65 +51,39 @@ const maxRecordLen = 1 << 24
 // kindSnapshot frame.
 var snapMagic = []byte("rbaysnap\x01")
 
-var (
-	recCodec  = wire.NewCodec[record]()
-	snapCodec = wire.NewCodec[State]()
-)
-
-func init() {
-	recCodec.Register(kindSet, "set",
-		func(e *wire.Encoder, r record) { e.String(r.Attr); encValue(e, r.Val) },
-		func(d *wire.Decoder) record { return record{Kind: kindSet, Attr: d.String(), Val: decValue(d)} })
-	recCodec.Register(kindSetBatch, "setb",
-		func(e *wire.Encoder, r record) {
-			e.Uvarint(uint64(len(r.Batch)))
-			for _, kv := range r.Batch {
-				e.String(kv.Name)
-				encValue(e, kv.Value)
-			}
-		},
-		func(d *wire.Decoder) record {
-			r := record{Kind: kindSetBatch}
-			if n := d.Count(2); n > 0 {
-				r.Batch = make([]BatchSet, n)
-				for i := range r.Batch {
-					r.Batch[i] = BatchSet{Name: d.String(), Value: decValue(d)}
-				}
-			}
-			return r
-		})
-	recCodec.Register(kindDelete, "del",
-		func(e *wire.Encoder, r record) { e.String(r.Attr) },
-		func(d *wire.Decoder) record { return record{Kind: kindDelete, Attr: d.String()} })
-	recCodec.Register(kindAttach, "attach",
-		func(e *wire.Encoder, r record) { e.String(r.Attr); e.String(r.Script) },
-		func(d *wire.Decoder) record { return record{Kind: kindAttach, Attr: d.String(), Script: d.String()} })
-	recCodec.Register(kindReserve, "reserve",
-		func(e *wire.Encoder, r record) { e.String(r.Query); e.Varint(r.Exp) },
-		func(d *wire.Decoder) record { return record{Kind: kindReserve, Query: d.String(), Exp: d.Varint()} })
-	recCodec.Register(kindCommit, "commit",
-		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Kind: kindCommit, Query: d.String()} })
-	recCodec.Register(kindRelease, "release",
-		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Kind: kindRelease, Query: d.String()} })
-	recCodec.Register(kindOpUpsert, "op",
-		func(e *wire.Encoder, r record) {
-			if r.OpRec == nil {
+// fields is the payload layout of every record kind, chosen by r.Kind.
+func (r *record) fields(c *wire.Coder) {
+	switch r.Kind {
+	case kindSet:
+		c.String(&r.Attr)
+		value(c, &r.Val)
+	case kindSetBatch:
+		wire.CountedList(c, &r.Batch, 2, (*BatchSet).fields)
+	case kindDelete:
+		c.String(&r.Attr)
+	case kindAttach:
+		c.String(&r.Attr)
+		c.String(&r.Script)
+	case kindReserve:
+		c.String(&r.Query)
+		c.Varint(&r.Exp)
+	case kindCommit, kindRelease, kindOpDelete:
+		c.String(&r.Query)
+	case kindOpUpsert:
+		if r.OpRec == nil {
+			if e := c.Encoder(); e != nil {
 				e.Fail(errors.New("store: op upsert record without op"))
 				return
 			}
-			encStoredOp(e, *r.OpRec)
-		},
-		func(d *wire.Decoder) record {
-			op := decStoredOp(d)
-			return record{Kind: kindOpUpsert, OpRec: &op}
-		})
-	recCodec.Register(kindOpDelete, "opdel",
-		func(e *wire.Encoder, r record) { e.String(r.Query) },
-		func(d *wire.Decoder) record { return record{Kind: kindOpDelete, Query: d.String()} })
+			r.OpRec = new(StoredOp)
+		}
+		r.OpRec.fields(c)
+	}
+}
 
-	snapCodec.Register(kindSnapshot, "snapshot", encSnapshot, decSnapshot)
+func (b *BatchSet) fields(c *wire.Coder) {
+	c.String(&b.Name)
+	value(c, &b.Value)
 }
 
 // Value tag bytes: the closed set of attribute value types a frame can
@@ -217,56 +200,39 @@ func normValue(v any) any {
 	return decValue(wire.NewDecoder(e.Bytes()))
 }
 
-func encStoredOp(e *wire.Encoder, op StoredOp) {
-	e.String(op.ID)
-	e.String(op.Kind)
-	e.String(op.State)
-	e.String(op.IdemKey)
-	e.String(op.Tenant)
-	e.String(op.Query)
-	e.String(op.Payload)
-	e.String(op.Caller)
-	e.String(op.Mode)
-	e.String(op.FromOp)
-	e.String(op.QueryID)
-	e.Uvarint(uint64(len(op.Candidates)))
-	for _, c := range op.Candidates {
-		e.String(c.NodeID)
-		e.String(c.Site)
-		e.String(c.Host)
+// value walks one tagged attribute value.
+func value(c *wire.Coder, v *any) {
+	if e := c.Encoder(); e != nil {
+		encValue(e, *v)
+	} else {
+		*v = decValue(c.Decoder())
 	}
-	e.String(op.Updates)
-	e.String(op.Error)
-	e.Varint(int64(op.Shortfall))
-	e.Varint(op.CreatedNanos)
-	e.Varint(op.UpdatedNanos)
 }
 
-func decStoredOp(d *wire.Decoder) StoredOp {
-	var op StoredOp
-	op.ID = d.String()
-	op.Kind = d.String()
-	op.State = d.String()
-	op.IdemKey = d.String()
-	op.Tenant = d.String()
-	op.Query = d.String()
-	op.Payload = d.String()
-	op.Caller = d.String()
-	op.Mode = d.String()
-	op.FromOp = d.String()
-	op.QueryID = d.String()
-	if n := d.Count(3); n > 0 {
-		op.Candidates = make([]OpCandidate, n)
-		for i := range op.Candidates {
-			op.Candidates[i] = OpCandidate{NodeID: d.String(), Site: d.String(), Host: d.String()}
-		}
-	}
-	op.Updates = d.String()
-	op.Error = d.String()
-	op.Shortfall = int(d.Varint())
-	op.CreatedNanos = d.Varint()
-	op.UpdatedNanos = d.Varint()
-	return op
+func (op *StoredOp) fields(c *wire.Coder) {
+	c.String(&op.ID)
+	c.String(&op.Kind)
+	c.String(&op.State)
+	c.String(&op.IdemKey)
+	c.String(&op.Tenant)
+	c.String(&op.Query)
+	c.String(&op.Payload)
+	c.String(&op.Caller)
+	c.String(&op.Mode)
+	c.String(&op.FromOp)
+	c.String(&op.QueryID)
+	wire.CountedList(c, &op.Candidates, 3, (*OpCandidate).fields)
+	c.String(&op.Updates)
+	c.String(&op.Error)
+	c.Int(&op.Shortfall)
+	c.Varint(&op.CreatedNanos)
+	c.Varint(&op.UpdatedNanos)
+}
+
+func (oc *OpCandidate) fields(c *wire.Coder) {
+	c.String(&oc.NodeID)
+	c.String(&oc.Site)
+	c.String(&oc.Host)
 }
 
 func encSnapshot(e *wire.Encoder, s State) {
@@ -288,7 +254,7 @@ func encSnapshot(e *wire.Encoder, s State) {
 	ops := s.SortedOps()
 	e.Uvarint(uint64(len(ops)))
 	for _, op := range ops {
-		encStoredOp(e, op)
+		op.fields(e.Coder())
 	}
 }
 
@@ -304,7 +270,8 @@ func decSnapshot(d *wire.Decoder) State {
 	if n := d.Count(17); n > 0 {
 		s.Ops = make(map[string]StoredOp, n)
 		for ; n > 0; n-- {
-			op := decStoredOp(d)
+			var op StoredOp
+			op.fields(d.Coder())
 			s.Ops[op.ID] = op
 		}
 	}
@@ -323,9 +290,14 @@ func appendFrame(buf, body []byte) []byte {
 // appendRecord appends r's framed encoding to buf, using a pooled wire
 // encoder for the body.
 func appendRecord(buf []byte, r record) ([]byte, error) {
+	if !isRecordKind(r.Kind) {
+		return buf, fmt.Errorf("store: unknown record kind %d", r.Kind)
+	}
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	recCodec.Append(e, r.Kind, r.Seq, r)
+	e.Byte(r.Kind)
+	e.Uvarint(r.Seq)
+	r.fields(e.Coder())
 	if err := e.Err(); err != nil {
 		return buf, err
 	}
@@ -351,16 +323,41 @@ func decodeWAL(raw []byte) (recs []record, good int, err error) {
 		if crc32.ChecksumIEEE(body) != sum {
 			break
 		}
-		_, seq, r, derr := recCodec.Decode(body)
+		r, derr := decodeRecord(body)
 		if derr != nil {
 			err = fmt.Errorf("store: wal frame at offset %d, kind byte %#02x, is intact but does not decode: %w", off, body[0], derr)
 			return recs, off, hintPreBinary(err, body)
 		}
-		r.Seq = seq
 		recs = append(recs, r)
 		off += 8 + int(n)
 	}
 	return recs, off, nil
+}
+
+// decodeRecord parses one WAL frame body.
+func decodeRecord(body []byte) (r record, err error) {
+	d := wire.NewDecoder(body)
+	r.Kind, r.Seq = d.Byte(), d.Uvarint()
+	if d.Err() == nil && !isRecordKind(r.Kind) {
+		return record{}, fmt.Errorf("store: unknown record kind %d", r.Kind)
+	}
+	r.fields(d.Coder())
+	if err := bodyErr(d, r.Kind); err != nil {
+		return record{}, err
+	}
+	return r, nil
+}
+
+// bodyErr is what decoding a frame body of the given kind left: d's
+// sticky error, or one for bytes no field read.
+func bodyErr(d *wire.Decoder, kind byte) error {
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("store: %d trailing bytes after %s record", n, kindNames[kind])
+	}
+	return nil
 }
 
 // hintPreBinary says how to upgrade when undecodable bytes start like the
@@ -377,7 +374,9 @@ func hintPreBinary(err error, b []byte) error {
 func encodeSnapshot(s State) ([]byte, error) {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	snapCodec.Append(e, kindSnapshot, s.Seq, s)
+	e.Byte(kindSnapshot)
+	e.Uvarint(s.Seq)
+	encSnapshot(e, s)
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
@@ -402,8 +401,13 @@ func decodeSnapshot(raw []byte) (State, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return State{}, errors.New("store: snapshot checksum mismatch")
 	}
-	_, seq, s, err := snapCodec.Decode(payload)
-	if err != nil {
+	d := wire.NewDecoder(payload)
+	kind, seq := d.Byte(), d.Uvarint()
+	if d.Err() == nil && kind != kindSnapshot {
+		return State{}, fmt.Errorf("store: snapshot frame has kind %d", kind)
+	}
+	s := decSnapshot(d)
+	if err := bodyErr(d, kindSnapshot); err != nil {
 		return State{}, fmt.Errorf("store: decode snapshot: %w", err)
 	}
 	s.Seq = seq

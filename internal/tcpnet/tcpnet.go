@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -554,26 +553,10 @@ func (n *Network) readLoop(conn net.Conn) {
 // corrupt body) abandons the connection — stream corruption is not
 // survivable, and the sender's liveness machinery redials.
 func (n *Network) readFramesLoop(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 64<<10)
-	var hdr [4]byte
-	var body []byte
+	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 64<<10), wire.DefaultMaxFrame)
 	var pongSeq uint64
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		ln := binary.LittleEndian.Uint32(hdr[:])
-		if ln > wire.DefaultMaxFrame {
-			return
-		}
-		if cap(body) < int(ln) {
-			body = make([]byte, ln)
-		}
-		body = body[:ln]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return
-		}
-		kind, seq, rest, err := wire.DecodeFrameBody(body)
+		kind, seq, rest, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -775,28 +758,9 @@ func (n *Network) dial(hostport string, to transport.Addr) (*clientConn, error) 
 // send.
 func (n *Network) connReadLoop(cc *clientConn) {
 	defer n.wg.Done()
-	r := bufio.NewReaderSize(cc.c, 4096)
-	var hdr [4]byte
-	var body []byte
+	fr := wire.NewFrameReader(bufio.NewReaderSize(cc.c, 4096), wire.DefaultMaxFrame)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			n.connDead(cc, true)
-			return
-		}
-		ln := binary.LittleEndian.Uint32(hdr[:])
-		if ln > wire.DefaultMaxFrame {
-			n.connDead(cc, true)
-			return
-		}
-		if cap(body) < int(ln) {
-			body = make([]byte, ln)
-		}
-		body = body[:ln]
-		if _, err := io.ReadFull(r, body); err != nil {
-			n.connDead(cc, true)
-			return
-		}
-		kind, _, _, err := wire.DecodeFrameBody(body)
+		kind, _, _, err := fr.Next()
 		if err != nil {
 			n.connDead(cc, true)
 			return

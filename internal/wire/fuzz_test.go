@@ -1,14 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"rbay/internal/transport"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes through the full frame pipeline:
-// length-prefix parsing, frame-body decoding, and the kind-specific
-// decoders. Truncated, oversized, or corrupt input must return an error —
+// FuzzDecodeFrame feeds arbitrary bytes through the transport's frame
+// reader, frame after frame, and the kind-specific decoders. Truncated, oversized, or corrupt input must return an error —
 // never panic and never allocate beyond the input size (the allocation
 // guards bound every count/length by the bytes actually remaining).
 func FuzzDecodeFrame(f *testing.F) {
@@ -52,24 +52,23 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16
-		body, consumed, err := ParseFrame(data, maxFrame)
-		if err != nil || body == nil {
-			return
-		}
-		if consumed > len(data) || len(body) > maxFrame {
-			t.Fatalf("ParseFrame over-read: consumed=%d body=%d input=%d", consumed, len(body), len(data))
-		}
-		kind, _, rest, err := DecodeFrameBody(body)
-		if err != nil {
-			return
-		}
-		switch kind {
-		case KindData:
-			_, _ = DecodeDataRest(rest)
-		case KindBatch:
-			_ = DecodeBatchRest(rest, func(DataMsg) {})
-		case KindPong:
-			_, _ = DecodePongRest(rest)
+		fr := NewFrameReader(bytes.NewReader(data), maxFrame)
+		for {
+			kind, _, rest, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if len(fr.body) > maxFrame || len(rest) > len(data) {
+				t.Fatalf("frame over-read: body=%d rest=%d input=%d", len(fr.body), len(rest), len(data))
+			}
+			switch kind {
+			case KindData:
+				_, _ = DecodeDataRest(rest)
+			case KindBatch:
+				_ = DecodeBatchRest(rest, func(DataMsg) {})
+			case KindPong:
+				NewDecoder(rest).Uvarint()
+			}
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // Package wire is RBAY's hand-rolled binary wire codec: a length-prefixed
-// frame format plus an explicit, reflection-free Marshal/Unmarshal registry
-// for every protocol message type. It is the only encoding the TCP
+// frame format plus a reflection-free Marshal/Unmarshal registry for every
+// protocol message type. It is the only encoding the TCP
 // transport (internal/tcpnet) speaks; its predecessor's per-message
 // reflective encoder round trip dominated federation messaging cost.
 //
@@ -32,10 +32,11 @@
 // tagged attribute-value codec in internal/store/value.go): one tag byte
 // selects either a builtin shape (nil, bool, int, int64, uint64, float64,
 // string, []string, []float64, []any, map[string]any, []byte,
-// transport.Addr, ids.ID) or a registered message type. Protocol packages
-// register explicit encode/decode functions for their message structs with
-// Register; nested any-typed fields (Message.Payload, aggReplyMsg.Value,
-// Candidate.SortKey, ...) recurse through the same tagged-value codec.
+// transport.Addr, ids.ID) or a registered message type. A message's layout
+// is one field list walked by a Coder (coder.go), and protocol packages
+// register it with Register; nested any-typed fields (Message.Payload,
+// aggReplyMsg.Value, Candidate.SortKey, ...) recurse through the same
+// tagged-value codec.
 // Unregistered types fail encoding with an error — nothing silently falls
 // back to reflection.
 //
@@ -48,6 +49,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"sync"
@@ -105,12 +107,12 @@ var (
 	byTag  [256]*codecEntry
 )
 
-// Register binds a message type to a tag with explicit encode/decode
-// functions. Tags must be unique and >= FirstRegisteredTag; registering
-// the same type or tag twice panics (registration is a process-wide,
-// init-time act, so a collision is a programming error). The decode
-// function reads from a sticky-error Decoder and should return the zero
-// value once d.Err() is set.
+// Register binds a message type to a tag with its encode/decode
+// functions, each a one-line call of the type's field list (a static call,
+// so encoding does not copy the value to the heap). Tags must be unique
+// and >= FirstRegisteredTag; registering the same type or tag twice panics
+// (registration is a process-wide, init-time act, so a collision is a
+// programming error).
 func Register[T any](tag byte, enc func(*Encoder, T), dec func(*Decoder) T) {
 	if tag < FirstRegisteredTag {
 		panic(fmt.Sprintf("wire: tag %d collides with builtin tags", tag))
@@ -156,6 +158,7 @@ func lookupTag(tag byte) *codecEntry {
 type Encoder struct {
 	b   []byte
 	err error
+	c   Coder
 }
 
 var encPool = sync.Pool{New: func() any { return &Encoder{b: make([]byte, 0, 512)} }}
@@ -193,9 +196,8 @@ func (e *Encoder) fail(err error) {
 }
 
 // Fail records err as the encoder's sticky error (first error wins).
-// External marshal functions — e.g. Codec registrations — use this to
-// surface domain-level encode failures through the same channel as the
-// encoder's own.
+// Field lists outside this package use it to surface domain-level encode
+// failures through the same channel as the encoder's own.
 func (e *Encoder) Fail(err error) { e.fail(err) }
 
 // Byte appends one raw byte.
@@ -339,6 +341,7 @@ type Decoder struct {
 	b   []byte
 	off int
 	err error
+	c   Coder
 }
 
 // NewDecoder returns a decoder over b. The decoder does not copy b; the
@@ -353,8 +356,8 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
 // Fail records err as the decoder's sticky error (first error wins).
-// External unmarshal functions — e.g. Codec registrations — use this to
-// reject structurally valid bytes that are semantically corrupt.
+// Field lists outside this package use it to reject structurally valid
+// bytes that are semantically corrupt.
 func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
@@ -640,13 +643,6 @@ func Roundtrip(v any) (any, error) {
 // ---------------------------------------------------------------------------
 // Frames
 
-// AppendFrameHeader appends the fixed-size frame prefix for a body of
-// bodyLen bytes: length(uint32 LE). The caller appends the body (kind,
-// seq, rest) itself; see BeginFrame/EndFrame for the in-place variant.
-func AppendFrameHeader(dst []byte, bodyLen int) []byte {
-	return binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
-}
-
 // BeginFrame reserves the length prefix and appends kind and seq,
 // returning the offset EndFrame needs to patch the length.
 func (e *Encoder) BeginFrame(kind byte, seq uint64) int {
@@ -675,39 +671,47 @@ type DataMsg struct {
 	Payload  any
 }
 
-// ParseFrame parses one length-prefixed frame from the front of buf,
-// returning the frame body and the total bytes consumed. It returns
-// (nil, 0, nil) when buf holds a valid prefix of a frame (more bytes
-// needed) and an error when the length prefix exceeds maxFrame (corrupt
-// or hostile input; the connection should be dropped). maxFrame <= 0
-// selects DefaultMaxFrame.
-func ParseFrame(buf []byte, maxFrame int) (body []byte, consumed int, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	if len(buf) < 4 {
-		return nil, 0, nil
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	if n > uint32(maxFrame) {
-		return nil, 0, fmt.Errorf("wire: frame length %d exceeds max %d", n, maxFrame)
-	}
-	if uint32(len(buf)-4) < n {
-		return nil, 0, nil
-	}
-	return buf[4 : 4+n], 4 + int(n), nil
+// FrameReader reads frames from a stream into one body buffer it keeps,
+// so a frame allocates only when its body outgrows every earlier one.
+type FrameReader struct {
+	r    io.Reader
+	max  uint32
+	hdr  [4]byte
+	body []byte
 }
 
-// DecodeFrameBody parses a frame body (the bytes after the length prefix):
-// kind, seq, and the kind-specific rest.
-func DecodeFrameBody(body []byte) (kind byte, seq uint64, rest []byte, err error) {
-	d := NewDecoder(body)
+// NewFrameReader reads frames from r (buffer it: every frame is two
+// reads) whose bodies may be at most maxFrame bytes.
+func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
+	return &FrameReader{r: r, max: uint32(maxFrame)}
+}
+
+// Next reads one frame and parses its body: kind, seq, and the
+// kind-specific rest, valid until the next call. A read error, a length
+// prefix over the maximum or a malformed body ends the stream: it is
+// corrupt or hostile, and the connection should be dropped.
+func (fr *FrameReader) Next() (kind byte, seq uint64, rest []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	n := binary.LittleEndian.Uint32(fr.hdr[:])
+	if n > fr.max {
+		return 0, 0, nil, fmt.Errorf("wire: frame length %d exceeds max %d", n, fr.max)
+	}
+	if cap(fr.body) < int(n) {
+		fr.body = make([]byte, n)
+	}
+	fr.body = fr.body[:n]
+	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
+		return 0, 0, nil, err
+	}
+	d := NewDecoder(fr.body)
 	kind = d.Byte()
 	seq = d.Uvarint()
 	if d.err != nil {
 		return 0, 0, nil, d.err
 	}
-	return kind, seq, body[d.off:], nil
+	return kind, seq, fr.body[d.off:], nil
 }
 
 // DecodeDataRest parses a data frame's rest.
@@ -751,14 +755,4 @@ func DecodeBatchRest(rest []byte, fn func(DataMsg)) error {
 		return fmt.Errorf("wire: %d trailing bytes after batch", d.Remaining())
 	}
 	return nil
-}
-
-// DecodePongRest parses a pong frame's rest: the echoed ping seq.
-func DecodePongRest(rest []byte) (echo uint64, err error) {
-	d := NewDecoder(rest)
-	echo = d.Uvarint()
-	if d.err != nil {
-		return 0, d.err
-	}
-	return echo, nil
 }

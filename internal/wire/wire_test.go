@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rbay/internal/ids"
 	"rbay/internal/transport"
@@ -18,31 +21,17 @@ type testStruct struct {
 	Any   any
 }
 
+func (v *testStruct) fields(c *Coder) {
+	c.String(&v.Name)
+	c.Int(&v.N)
+	List(c, &v.Addrs, 2, func(a *transport.Addr, c *Coder) { c.Addr(a) })
+	c.Value(&v.Any)
+}
+
 func init() {
-	Register[testStruct](200,
-		func(e *Encoder, v testStruct) {
-			e.String(v.Name)
-			e.Varint(int64(v.N))
-			e.nilCount(v.Addrs == nil, len(v.Addrs))
-			for _, a := range v.Addrs {
-				e.Addr(a)
-			}
-			e.Value(v.Any)
-		},
-		func(d *Decoder) testStruct {
-			var v testStruct
-			v.Name = d.String()
-			v.N = int(d.Varint())
-			isNil, n := d.nilCount(2)
-			if !isNil {
-				v.Addrs = make([]transport.Addr, 0, n)
-				for i := 0; i < n && d.Err() == nil; i++ {
-					v.Addrs = append(v.Addrs, d.Addr())
-				}
-			}
-			v.Any = d.Value()
-			return v
-		})
+	Register(200,
+		func(e *Encoder, v testStruct) { v.fields(e.Coder()) },
+		func(d *Decoder) (v testStruct) { v.fields(d.Coder()); return })
 }
 
 // builtinCases covers every builtin shape including the zero values the
@@ -160,16 +149,13 @@ func TestDataFrameRoundTrip(t *testing.T) {
 		t.Fatal(e.Err())
 	}
 
-	body, consumed, err := ParseFrame(e.Bytes(), 0)
+	r := bytes.NewReader(e.Bytes())
+	kind, seq, rest, err := NewFrameReader(r, DefaultMaxFrame).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumed != e.Len() {
-		t.Fatalf("consumed %d, want %d", consumed, e.Len())
-	}
-	kind, seq, rest, err := DecodeFrameBody(body)
-	if err != nil {
-		t.Fatal(err)
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left unread", r.Len())
 	}
 	if kind != KindData || seq != 7 {
 		t.Fatalf("kind=%d seq=%d", kind, seq)
@@ -219,11 +205,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 	e.EndFrame(at)
 
-	body, _, err := ParseFrame(e.Bytes(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, seq, rest, err := DecodeFrameBody(body)
+	kind, seq, rest, err := NewFrameReader(bytes.NewReader(e.Bytes()), DefaultMaxFrame).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,31 +232,25 @@ func TestPingPongFrames(t *testing.T) {
 	e.Uvarint(41)
 	e.EndFrame(at)
 
-	buf := e.Bytes()
-	body, consumed, err := ParseFrame(buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, seq, rest, err := DecodeFrameBody(body)
+	fr := NewFrameReader(bytes.NewReader(e.Bytes()), DefaultMaxFrame)
+	kind, seq, rest, err := fr.Next()
 	if err != nil || kind != KindPing || seq != 41 || len(rest) != 0 {
 		t.Fatalf("ping: kind=%d seq=%d rest=%d err=%v", kind, seq, len(rest), err)
 	}
-	body, _, err = ParseFrame(buf[consumed:], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, seq, rest, err = DecodeFrameBody(body)
+	kind, seq, rest, err = fr.Next()
 	if err != nil || kind != KindPong || seq != 42 {
 		t.Fatalf("pong: kind=%d seq=%d err=%v", kind, seq, err)
 	}
-	echo, err := DecodePongRest(rest)
-	if err != nil || echo != 41 {
-		t.Fatalf("pong echo=%d err=%v", echo, err)
+	if echo := NewDecoder(rest).Uvarint(); echo != 41 {
+		t.Fatalf("pong echo=%d", echo)
+	}
+	if _, _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want EOF", err)
 	}
 }
 
 func TestParseFrameBoundaries(t *testing.T) {
-	// Valid prefixes of an incomplete frame yield (nil, 0, nil).
+	// Every strict prefix of a frame is a stream cut short.
 	e := GetEncoder()
 	at := e.BeginFrame(KindData, 1)
 	e.DataRest(transport.Addr{Site: "s", Host: "h"}, transport.Addr{Site: "s", Host: "g"}, "payload")
@@ -282,16 +258,37 @@ func TestParseFrameBoundaries(t *testing.T) {
 	full := append([]byte(nil), e.Bytes()...)
 	PutEncoder(e)
 	for i := 0; i < len(full); i++ {
-		body, consumed, err := ParseFrame(full[:i], 0)
-		if body != nil || consumed != 0 || err != nil {
-			t.Fatalf("prefix %d: body=%v consumed=%d err=%v", i, body, consumed, err)
+		if _, _, _, err := NewFrameReader(bytes.NewReader(full[:i]), DefaultMaxFrame).Next(); err == nil {
+			t.Fatalf("prefix %d read as a frame", i)
 		}
 	}
 
 	// A length prefix beyond maxFrame is an error, not an allocation.
 	huge := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, _, err := ParseFrame(huge, 1024); err == nil {
-		t.Fatal("expected oversize error")
+	if _, _, _, err := NewFrameReader(bytes.NewReader(huge), 1024).Next(); err == nil || !strings.Contains(err.Error(), "exceeds max") {
+		t.Fatalf("oversize frame: %v", err)
+	}
+}
+
+// TestFrameReaderKeepsBuffer: reading frames no larger than an earlier
+// one allocates nothing.
+func TestFrameReaderKeepsBuffer(t *testing.T) {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	at := e.BeginFrame(KindData, 1)
+	e.DataRest(transport.Addr{Site: "s", Host: "h"}, transport.Addr{Site: "s", Host: "g"}, "payload")
+	e.EndFrame(at)
+	frame := e.Bytes()
+	r := bytes.NewReader(frame)
+	fr := NewFrameReader(r, DefaultMaxFrame)
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(frame)
+		if _, _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %v times per frame, want 0", allocs)
 	}
 }
 
@@ -330,6 +327,40 @@ func TestCorruptInputErrors(t *testing.T) {
 				t.Errorf("Unmarshal(%#v prefix %d): expected error", v, i)
 			}
 		}
+	}
+}
+
+// TestCoderTimeAndListShapes: the zero time and nil-vs-empty slices
+// survive a field-list round trip, and a list count the remaining bytes
+// cannot hold fails before anything is allocated.
+func TestCoderTimeAndListShapes(t *testing.T) {
+	type rec struct {
+		At   []time.Time
+		Zero time.Time
+		IDs  []ids.ID
+	}
+	walk := func(v *rec, c *Coder) {
+		List(c, &v.At, 1, func(p *time.Time, c *Coder) { c.Time(p) })
+		c.Time(&v.Zero)
+		List(c, &v.IDs, len(ids.ID{}), func(p *ids.ID, c *Coder) { c.ID(p) })
+	}
+	for _, in := range []rec{{}, {At: []time.Time{}, IDs: []ids.ID{}}, {At: []time.Time{time.Unix(0, 1), time.Unix(5, 7)}, IDs: []ids.ID{ids.HashOf("x")}}} {
+		e := GetEncoder()
+		walk(&in, e.Coder())
+		d := NewDecoder(e.Bytes())
+		var out rec
+		walk(&out, d.Coder())
+		PutEncoder(e)
+		if d.Err() != nil || d.Remaining() != 0 || !reflect.DeepEqual(in, out) {
+			t.Fatalf("round trip %#v -> %#v (err %v, %d left)", in, out, d.Err(), d.Remaining())
+		}
+	}
+
+	d := NewDecoder([]byte{3, 1, 2, 3}) // two IDs claimed, three bytes behind them
+	var v rec
+	List(d.Coder(), &v.IDs, len(ids.ID{}), func(p *ids.ID, c *Coder) { c.ID(p) })
+	if d.Err() == nil || v.IDs != nil {
+		t.Fatalf("oversized count decoded to %d IDs, err %v", len(v.IDs), d.Err())
 	}
 }
 
