@@ -82,7 +82,10 @@ func (en *Entry) Fields(c *wire.Coder) {
 }
 
 // EntryMinLen is the fewest bytes an Entry encodes to: 16 ID bytes plus
-// two empty length-prefixed address strings.
+// two empty length-prefixed address strings. Another package with an
+// []Entry field calls wire.List with it itself: a helper from here would
+// be inlined there, and a generic call inlined across a package boundary
+// loses its escape analysis, moving every encoded message to the heap.
 const EntryMinLen = len(ids.ID{}) + 2
 
 // entries walks a nil-preserving []Entry.
