@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt-check build bench-vet bench-test test race race-handoff bench bench-durable bench-tcpnet bench-all bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke fuzz-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
+.PHONY: ci vet fmt-check build client-deps bench-vet bench-test test race race-handoff bench bench-durable bench-tcpnet bench-all bench-scale bench-churn bench-wal fuzz-store fuzz-store-smoke fuzz-smoke chaos chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke
 
-ci: fmt-check vet build bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke fuzz-smoke
+ci: fmt-check vet build client-deps bench-vet bench-test race race-handoff chaos-restart-smoke chaos-replica-smoke churn-smoke gateway-smoke fuzz-store-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,12 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# rbayctl is an HTTP client of a daemon's gateway, not a member of the
+# overlay: it may import the standard library and nothing of rbay.
+client-deps:
+	@bad=$$($(GO) list -deps ./cmd/rbayctl | grep -E '^rbay(/|$$)' | grep -vx 'rbay/cmd/rbayctl'); \
+	if [ -n "$$bad" ]; then echo "rbayctl depends on rbay packages:"; echo "$$bad"; exit 1; fi
 
 # bench/ is its own module, so `go build ./...` here cannot see a store,
 # ops or core API change that breaks it. This can.

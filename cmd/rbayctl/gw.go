@@ -1,10 +1,9 @@
-// Gateway mode: rbayctl talks HTTP to an rbayd gateway instead of
-// attaching an ephemeral overlay node. Mutations are asynchronous — the
-// gateway answers 202 with an operation record — so this mode adds the
-// client half of the pending-operations protocol: transient-error retry
-// with capped backoff (honoring Retry-After on 429/503), idempotency
-// keys so those retries never double-submit, and -wait polling until the
-// operation reaches a terminal state.
+// The gateway's asynchronous operations API. Mutations answer 202 with an
+// operation record, so this is the client half of the pending-operations
+// protocol: transient-error retry with capped backoff (honoring
+// Retry-After on 429/503), idempotency keys so those retries never
+// double-submit, and -wait polling until the operation reaches a terminal
+// state.
 //
 //	rbayctl -gw http://host:8080 [-idem key] [-tenant name] [-wait] \
 //	        reserve 'SELECT 2 FROM * WHERE GPU = true;'
@@ -25,21 +24,25 @@ import (
 	"time"
 )
 
+// gwCand is the gateway's shape of a discovered resource.
+type gwCand struct {
+	NodeID string `json:"nodeId"`
+	Site   string `json:"site"`
+	Host   string `json:"host"`
+}
+
 // gwOp mirrors the gateway's operation record (internal/ops.Op wire
 // shape) without importing internal packages into the client.
 type gwOp struct {
-	ID         string `json:"opId"`
-	Kind       string `json:"kind"`
-	State      string `json:"state"`
-	QueryID    string `json:"queryId"`
-	Candidates []struct {
-		Addr string `json:"addr"`
-		Site string `json:"site"`
-	} `json:"candidates"`
-	Shortfall int    `json:"shortfall"`
-	Error     string `json:"error"`
-	Attempts  int    `json:"attempts"`
-	Dedup     bool   `json:"dedup"`
+	ID         string   `json:"opId"`
+	Kind       string   `json:"kind"`
+	State      string   `json:"state"`
+	QueryID    string   `json:"queryId"`
+	Candidates []gwCand `json:"candidates"`
+	Shortfall  int      `json:"shortfall"`
+	Error      string   `json:"error"`
+	Attempts   int      `json:"attempts"`
+	Dedup      bool     `json:"dedup"`
 }
 
 // gwError is the gateway's structured error body.
@@ -57,17 +60,9 @@ type gwClient struct {
 	hc      *http.Client
 }
 
-func runGateway(base, tenant, idem, password string, wait bool, timeout time.Duration, rest []string) error {
-	c := &gwClient{
-		base:    strings.TrimRight(base, "/"),
-		tenant:  tenant,
-		idem:    idem,
-		timeout: timeout,
-		hc:      &http.Client{Timeout: 30 * time.Second},
-	}
-	if len(rest) < 1 {
-		return fmt.Errorf("usage: rbayctl -gw URL reserve|commit|release|op|ops ...")
-	}
+// runOps runs the asynchronous operations commands and reports any other
+// command as unknown.
+func (c *gwClient) runOps(rest []string, password string, wait bool) error {
 	switch rest[0] {
 	case "reserve":
 		if len(rest) != 2 {
@@ -101,7 +96,7 @@ func runGateway(base, tenant, idem, password string, wait bool, timeout time.Dur
 			return fmt.Errorf("usage: rbayctl -gw URL ops [state]")
 		}
 		var list []gwOp
-		if err := c.getJSON(path, &list); err != nil {
+		if err := c.call(http.MethodGet, path, nil, &list); err != nil {
 			return err
 		}
 		if len(list) == 0 {
@@ -114,7 +109,7 @@ func runGateway(base, tenant, idem, password string, wait bool, timeout time.Dur
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown gateway operation %q (want reserve|commit|release|op|ops)", rest[0])
+		return fmt.Errorf("unknown operation %q", rest[0])
 	}
 }
 
@@ -165,6 +160,15 @@ func (c *gwClient) waitOp(id string) (*gwOp, error) {
 	}
 }
 
+func printCands(cands []gwCand, shortfall int) {
+	for _, c := range cands {
+		fmt.Printf("  %-28s site=%-12s id=%v\n", c.Site+"/"+c.Host, c.Site, c.NodeID)
+	}
+	if shortfall > 0 {
+		fmt.Printf("  (%d short of the requested count)\n", shortfall)
+	}
+}
+
 func printOp(op gwOp) {
 	fmt.Printf("op %s: %s %s", op.ID, op.Kind, op.State)
 	if op.QueryID != "" {
@@ -174,12 +178,7 @@ func printOp(op gwOp) {
 		fmt.Printf(" attempts=%d", op.Attempts)
 	}
 	fmt.Println()
-	for _, cand := range op.Candidates {
-		fmt.Printf("  %-28s site=%s\n", cand.Addr, cand.Site)
-	}
-	if op.Shortfall > 0 {
-		fmt.Printf("  (%d short of the requested count)\n", op.Shortfall)
-	}
+	printCands(op.Candidates, op.Shortfall)
 	if op.Error != "" {
 		fmt.Printf("  error: %s\n", op.Error)
 	}
@@ -187,7 +186,7 @@ func printOp(op gwOp) {
 
 func (c *gwClient) getOp(id string) (*gwOp, error) {
 	var op gwOp
-	if err := c.getJSON("/ops/"+id, &op); err != nil {
+	if err := c.call(http.MethodGet, "/ops/"+id, nil, &op); err != nil {
 		return nil, err
 	}
 	return &op, nil
@@ -252,15 +251,24 @@ func (c *gwClient) post(path string, body map[string]any) (*gwOp, error) {
 	return nil, fmt.Errorf("gateway unavailable after %d attempts: %w", attempts, lastErr)
 }
 
-func (c *gwClient) getJSON(path string, into any) error {
-	resp, err := c.hc.Get(c.base + path)
+// call sends one request and decodes a 2xx JSON answer into into (nil:
+// discard it).
+func (c *gwClient) call(method, path string, body io.Reader, into any) error {
+	req, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		return gwErrorOf(resp.StatusCode, data)
+	}
+	if into == nil {
+		return nil
 	}
 	return json.Unmarshal(data, into)
 }

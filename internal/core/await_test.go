@@ -54,7 +54,7 @@ func awaitQuery(t *testing.T, fed *Federation, n *Node, src string, mode ViewMod
 
 const awaitView = `SELECT 2 FROM virginia WHERE GPU = true;`
 
-// TestAwaitedRepliesInTimeTimeoutLate drives the core's four request/reply
+// TestAwaitedRepliesInTimeTimeoutLate drives the core's three request/reply
 // calls through pastry's shared table three ways each: the reply beats the
 // timeout; the timeout wins, its counter moves and the caller is told; the
 // reply then arrives late, is counted where a counter exists, and what the
@@ -95,23 +95,6 @@ func TestAwaitedRepliesInTimeTimeoutLate(t *testing.T) {
 				return res.Err == nil && len(res.Candidates) == 2
 			},
 			timeouts: "rbay_view_reserve_timeouts_total",
-		},
-		{
-			name: "view admin",
-			call: func(t *testing.T, fed *Federation, origin *Node, _ QueryResult) bool {
-				var results []ViewAdminResult
-				origin.ViewAdmin(fed.BySite["virginia"][3].Addr(), "list", "", nil, func(r ViewAdminResult) {
-					results = append(results, r)
-				})
-				fed.RunFor(5 * time.Second) // past the timeout and the late reply
-				if len(results) != 1 {
-					t.Fatalf("ViewAdmin called back %d times, want 1", len(results))
-				}
-				if e := results[0].Err; e != "" && e != "view admin request timed out" {
-					t.Fatalf("ViewAdmin err = %q", e)
-				}
-				return results[0].Err == ""
-			},
 		},
 		{
 			name: "acked commit",
@@ -233,7 +216,6 @@ func TestMismatchedReplyLeavesCallPending(t *testing.T) {
 	counter := origin.Metrics().Counter
 	from := fed.BySite["tokyo"][0].p.Self()
 	for i, wrong := range []any{
-		viewAdminResp{ReqID: reqID, Key: "k"},
 		opAck{ReqID: reqID, Matched: true},
 		viewReserveResp{ReqID: reqID},
 	} {

@@ -761,9 +761,5 @@ func (n *Node) Direct(_ *pastry.Node, from pastry.Entry, payload any) {
 		_ = n.p.SendApp(p.Origin.Addr, AppName, resp)
 	case viewReserveResp:
 		n.handleViewReserveResp(p, payload)
-	case viewAdminReq:
-		n.serveViewAdmin(p)
-	case viewAdminResp:
-		n.p.Settle(p.ReqID, payload, nil)
 	}
 }

@@ -54,7 +54,7 @@ const (
 )
 
 // ParseViewMode maps the external spellings ("auto", "only", "skip"; ""
-// means auto) used by the HTTP gateway and rbayctl.
+// means auto) used by the HTTP gateway and the ops engine.
 func ParseViewMode(s string) (ViewMode, error) {
 	switch s {
 	case "", "auto":
@@ -67,7 +67,7 @@ func ParseViewMode(s string) (ViewMode, error) {
 	return ViewAuto, fmt.Errorf("core: unknown view mode %q", s)
 }
 
-// ViewInfo is one view's externally visible state (HTTP gateway, rbayctl).
+// ViewInfo is one view's externally visible state (GET /views).
 type ViewInfo struct {
 	Key         string        `json:"key"`
 	Entries     int           `json:"entries"`
@@ -168,27 +168,6 @@ type viewReserveResp struct {
 	OK       bool
 	Conflict bool
 	Cand     Candidate
-}
-
-// viewAdminReq lets a remote client (rbayctl through its seed daemon)
-// manage and read views owned by another node.
-type viewAdminReq struct {
-	ReqID   uint64
-	Op      string // "register" | "drop" | "list" | "read"
-	Arg     string // SQL text (register/drop/read)
-	Payload any    // onGet payload for "read"
-	Origin  pastry.Entry
-}
-
-type viewAdminResp struct {
-	ReqID uint64
-	Err   string
-	Key   string
-	Views []ViewInfo
-	// "read" results.
-	QueryID   string
-	Cands     []Candidate
-	Shortfall int
 }
 
 // ---------------------------------------------------------------------------
@@ -578,93 +557,4 @@ func (r *queryRun) serveFromView(v *viewState) {
 		r.finish(nil)
 	}
 	launch()
-}
-
-// ---------------------------------------------------------------------------
-// Remote view administration (rbayctl through its seed daemon)
-
-// ViewAdminResult is the outcome of a remote view operation.
-type ViewAdminResult struct {
-	Err        string
-	Key        string
-	Views      []ViewInfo
-	QueryID    string
-	Candidates []Candidate
-	Shortfall  int
-}
-
-// ViewAdmin asks the node at target to run a view operation on the
-// caller's behalf: "register"/"drop"/"read" take the SQL text as arg,
-// "list" ignores it. cb fires exactly once.
-func (n *Node) ViewAdmin(target transport.Addr, op, arg string, payload any, cb func(ViewAdminResult)) {
-	req := viewAdminReq{Op: op, Arg: arg, Payload: payload, Origin: n.p.Self()}
-	req.ReqID = n.p.Await(n.cfg.SiteQueryTimeout, viewAdminResp{}, func(reply any, err error) {
-		switch {
-		case errors.Is(err, pastry.ErrTimeout):
-			cb(ViewAdminResult{Err: "view admin request timed out"})
-		case err != nil:
-			n.p.After(0, func() { cb(ViewAdminResult{Err: err.Error()}) })
-		default:
-			resp := reply.(viewAdminResp)
-			cb(ViewAdminResult{
-				Err:        resp.Err,
-				Key:        resp.Key,
-				Views:      resp.Views,
-				QueryID:    resp.QueryID,
-				Candidates: resp.Cands,
-				Shortfall:  resp.Shortfall,
-			})
-		}
-	})
-	if err := n.p.SendApp(target, AppName, req); err != nil {
-		n.p.Settle(req.ReqID, nil, err)
-	}
-}
-
-func (n *Node) serveViewAdmin(req viewAdminReq) {
-	reply := func(resp viewAdminResp) {
-		resp.ReqID = req.ReqID
-		_ = n.p.SendApp(req.Origin.Addr, AppName, resp)
-	}
-	switch req.Op {
-	case "register":
-		q, err := query.Parse(req.Arg)
-		if err == nil {
-			err = n.RegisterView(q)
-		}
-		if err != nil {
-			reply(viewAdminResp{Err: err.Error()})
-			return
-		}
-		reply(viewAdminResp{Key: q.String()})
-	case "drop":
-		q, err := query.Parse(req.Arg)
-		key := req.Arg
-		if err == nil {
-			key = q.String()
-		}
-		if !n.DropView(key) {
-			reply(viewAdminResp{Err: "no such view"})
-			return
-		}
-		reply(viewAdminResp{Key: key})
-	case "list":
-		reply(viewAdminResp{Views: n.Views()})
-	case "read":
-		q, err := query.Parse(req.Arg)
-		if err != nil {
-			reply(viewAdminResp{Err: err.Error()})
-			return
-		}
-		n.QueryVia(q, req.Origin.Addr.String(), req.Payload, ViewOnly, func(res QueryResult) {
-			n.Release(res.QueryID, res.Candidates) // a read holds nothing
-			resp := viewAdminResp{QueryID: res.QueryID, Cands: res.Candidates, Shortfall: res.Shortfall}
-			if res.Err != nil {
-				resp.Err = res.Err.Error()
-			}
-			reply(resp)
-		})
-	default:
-		reply(viewAdminResp{Err: fmt.Sprintf("unknown view op %q", req.Op)})
-	}
 }

@@ -71,42 +71,6 @@ func TestViewServesQueryLocally(t *testing.T) {
 	fed.RunFor(time.Second)
 }
 
-// TestViewAdminReadHoldsNothing: a remote view read is a read. Right
-// after its reply, reading again finds the same nodes with no conflict.
-func TestViewAdminReadHoldsNothing(t *testing.T) {
-	fed := newTestFed(t, []string{"virginia"}, 40)
-	owner, client := fed.BySite["virginia"][2], fed.BySite["virginia"][5]
-	const src = `SELECT 3 FROM virginia WHERE GPU = true;`
-	registerTestView(t, fed, owner, src)
-	read := func() ViewAdminResult {
-		t.Helper()
-		var res ViewAdminResult
-		fired := false
-		client.ViewAdmin(owner.Addr(), "read", src, nil, func(r ViewAdminResult) { res = r; fired = true })
-		for i := 0; i < 300 && !fired; i++ {
-			fed.RunFor(10 * time.Millisecond)
-		}
-		if !fired || res.Err != "" || len(res.Candidates) != 3 {
-			t.Fatalf("view read = %+v (fired %v), want 3 candidates", res, fired)
-		}
-		return res
-	}
-	addrs := func(cs []Candidate) string {
-		var out []string
-		for _, c := range cs {
-			out = append(out, c.Addr.String())
-		}
-		return strings.Join(out, " ")
-	}
-	first := read()
-	second := read()
-	recent := owner.RecentQueries()
-	if got := recent[len(recent)-1]; addrs(second.Candidates) != addrs(first.Candidates) || got.Conflicts != 0 {
-		t.Fatalf("second read found %s with %d conflicts, want %s with 0",
-			addrs(second.Candidates), got.Conflicts, addrs(first.Candidates))
-	}
-}
-
 func TestViewOnlyWithoutViewFails(t *testing.T) {
 	fed := newTestFed(t, []string{"virginia"}, 8)
 	n := fed.BySite["virginia"][1]

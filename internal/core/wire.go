@@ -10,7 +10,9 @@ import (
 )
 
 // Wire tags 64-81 belong to the RBAY core (see internal/wire for the tag
-// map).
+// map). 79-80 carried the remote view-admin RPC, deleted with rbayctl's
+// overlay mode; a peer built before that may still send them, so they are
+// retired — never reused — and decode to an unknown-tag error.
 const (
 	tagQueryVisit byte = 64 + iota
 	tagSiteQueryReq
@@ -27,8 +29,8 @@ const (
 	tagViewUpdateMsg
 	tagViewReserveReq
 	tagViewReserveResp
-	tagViewAdminReq
-	tagViewAdminResp
+	_        // 79: retired, never reuse
+	_        // 80: retired, never reuse
 	tagOpAck // 81
 )
 
@@ -88,12 +90,6 @@ func RegisterWire() {
 		wire.Register(tagViewReserveResp,
 			func(e *wire.Encoder, v viewReserveResp) { v.fields(e.Coder()) },
 			func(d *wire.Decoder) (v viewReserveResp) { v.fields(d.Coder()); return })
-		wire.Register(tagViewAdminReq,
-			func(e *wire.Encoder, v viewAdminReq) { v.fields(e.Coder()) },
-			func(d *wire.Decoder) (v viewAdminReq) { v.fields(d.Coder()); return })
-		wire.Register(tagViewAdminResp,
-			func(e *wire.Encoder, v viewAdminResp) { v.fields(e.Coder()) },
-			func(d *wire.Decoder) (v viewAdminResp) { v.fields(d.Coder()); return })
 	})
 }
 
@@ -103,7 +99,6 @@ const (
 	candidateMinLen = 5 // NodeID, Addr (2), Site, SortKey
 	predMinLen      = 3
 	probeMinLen     = 4
-	viewInfoMinLen  = 9
 	addrMinLen      = 2
 )
 
@@ -239,34 +234,4 @@ func (v *viewReserveResp) fields(c *wire.Coder) {
 	c.Bool(&v.OK)
 	c.Bool(&v.Conflict)
 	v.Cand.fields(c)
-}
-
-func (v *viewAdminReq) fields(c *wire.Coder) {
-	c.Uvarint(&v.ReqID)
-	c.String(&v.Op)
-	c.String(&v.Arg)
-	c.Value(&v.Payload)
-	v.Origin.Fields(c)
-}
-
-func (v *viewAdminResp) fields(c *wire.Coder) {
-	c.Uvarint(&v.ReqID)
-	c.String(&v.Err)
-	c.String(&v.Key)
-	wire.List(c, &v.Views, viewInfoMinLen, (*ViewInfo).fields)
-	c.String(&v.QueryID)
-	candidates(c, &v.Cands)
-	c.Int(&v.Shortfall)
-}
-
-func (v *ViewInfo) fields(c *wire.Coder) {
-	c.String(&v.Key)
-	c.Int(&v.Entries)
-	c.Time(&v.Created)
-	c.Time(&v.LastRefresh)
-	c.Varint((*int64)(&v.Staleness))
-	c.Uvarint(&v.Refreshes)
-	c.Uvarint(&v.Updates)
-	c.Uvarint(&v.Served)
-	c.Uvarint(&v.Fallbacks)
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"rbay/internal/naming"
 	"rbay/internal/pastry"
@@ -106,9 +106,6 @@ func TestWireBytesPinned(t *testing.T) {
 		{viewReserveReq{ReqID: 8, QueryID: "q4", Key: "k", Preds: preds, OrderBy: "mem", TreeAttr: "CPU_free", Caller: "bob", Origin: origin},
 			"4d08027134016b020f4350555f7574696c697a6174696f6e013c069a9999999999b93f036d656d084350555f6672656503626f62003dd6c4408ec132242c903f87120b6e220273310161"},
 		{viewReserveResp{ReqID: 8, QueryID: "q4", OK: true, Cand: cand}, "4e080271340100066e6f64652d3702733202683702733206000000000000e83f"},
-		{viewAdminReq{ReqID: 9, Op: "list", Arg: "", Origin: origin}, "4f09046c69737400003dd6c4408ec132242c903f87120b6e220273310161"},
-		{viewAdminResp{ReqID: 9, Key: "k", QueryID: "q5", Cands: []Candidate{cand}, Shortfall: 1},
-			"500900016b0002713502066e6f64652d3702733202683702733206000000000000e83f02"},
 		{queryVisit{QueryID: "q1", K: 2, Preds: preds, OrderBy: "CPU_free", TreeAttr: "CPU_free", Caller: "alice",
 			Payload: map[string]any{"password": "x"}, Slots: []Candidate{cand, {}}, Conflicts: 3,
 			Exclude: []transport.Addr{{Site: "s1", Host: "h9"}}}, "4002713104020f4350555f7574696c697a6174696f6e013c069a9999999999b93f084350555f66726565084350555f6672656505616c6963650b020870617373776f726407017803066e6f64652d3702733202683702733206000000000000e83f00000000000602027331026839"},
@@ -123,10 +120,6 @@ func TestWireBytesPinned(t *testing.T) {
 		{viewRegMsg{Key: "k", Owner: origin, Preds: preds, OrderBy: "mem", TreeAttr: "CPU_free", Drop: true}, "4a016b3dd6c4408ec132242c903f87120b6e220273310161020f4350555f7574696c697a6174696f6e013c069a9999999999b93f036d656d084350555f6672656501"},
 		{viewSiteReg{Reg: viewRegMsg{Key: "k", Owner: origin}}, "4b016b3dd6c4408ec132242c903f87120b6e22027331016100000000"},
 		{viewUpdateMsg{Key: "k", Member: origin, Match: true, Cand: cand}, "4c016b3dd6c4408ec132242c903f87120b6e22027331016101066e6f64652d3702733202683702733206000000000000e83f"},
-		{viewAdminResp{ReqID: 10, Key: "k", Views: []ViewInfo{
-			{Key: "k", Entries: 3, Created: time.Unix(0, 1_700_000_000_123_456_789), LastRefresh: time.Unix(0, 1_700_000_001_000_000_000),
-				Staleness: 250 * time.Millisecond, Refreshes: 4, Updates: 300, Served: 2, Fallbacks: 1},
-			{Key: "z"}}}, "500a00016b03016b06aab4aed8c7bfce972f80a8a69ccebfce972f80cab5ee0104ac020201017a0000000000000000000000"},
 	} {
 		b, err := wire.Marshal(c.v)
 		if err != nil {
@@ -137,6 +130,30 @@ func TestWireBytesPinned(t *testing.T) {
 		}
 		if n := encodeAllocs(c.v); n != 0 {
 			t.Errorf("encoding %T allocates %v times, want 0", c.v, n)
+		}
+	}
+}
+
+// retiredPayloads is what a peer built before the remote view-admin RPC
+// was deleted sends under the retired tags 79 and 80: a request, and
+// replies with candidates and with views.
+var retiredPayloads = []string{
+	"4f09046c69737400003dd6c4408ec132242c903f87120b6e220273310161",
+	"500900016b0002713502066e6f64652d3702733202683702733206000000000000e83f02",
+	"500a00016b03016b06aab4aed8c7bfce972f80a8a69ccebfce972f80cab5ee0104ac020201017a0000000000000000000000",
+}
+
+// TestRetiredTagsDecodeToError: tags 79 and 80 stay retired. An old
+// peer's view-admin message is refused as unknown, not reinterpreted.
+func TestRetiredTagsDecodeToError(t *testing.T) {
+	RegisterWire()
+	for _, h := range retiredPayloads {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := wire.Unmarshal(b); err == nil || !strings.Contains(err.Error(), "unknown value tag") {
+			t.Errorf("retired tag %d decoded to %#v, %v", b[0], v, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package fedcfg loads the two configuration files real deployments share
-// between rbayd daemons and rbayctl clients: the federation's tree
-// registry (JSON) and the peer table mapping node addresses to TCP
-// host:ports.
+// Package fedcfg loads the two configuration files rbayd daemons share:
+// the federation's tree registry (JSON) and the peer table mapping node
+// addresses to TCP host:ports. The peer table lists daemons only; clients
+// speak HTTP to one daemon's gateway.
 package fedcfg
 
 import (

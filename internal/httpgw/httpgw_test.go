@@ -386,6 +386,28 @@ func TestQueryHoldsNothing(t *testing.T) {
 				i+2, hosts(again), again.Conflicts, again.Attempts, hosts(first))
 		}
 	}
+
+	// A read served only from a view holds nothing either.
+	resp, err := http.Post(f.ts.URL+"/views?"+strings.TrimPrefix(path, "/query?"), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /views = %d", resp.StatusCode)
+	}
+	var r queryResponse
+	deadline := time.Now().Add(10 * time.Second)
+	for f.getJSON(t, path+"&view=only", &r) == http.StatusOK && len(r.Candidates) < 2 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Millisecond) // the view fills from tree updates
+	}
+	for i := 0; i < 2; i++ {
+		if code := f.getJSON(t, path+"&view=only", &r); code != http.StatusOK || r.Error != "" ||
+			hosts(r) != hosts(first) || r.Conflicts != 0 {
+			t.Fatalf("view read %d = %d, found %q with %d conflicts (err %q), want %q with 0",
+				i+2, code, hosts(r), r.Conflicts, r.Error, hosts(first))
+		}
+	}
 }
 
 // restartGateway kills the gateway node and brings it back from a crash

@@ -2,10 +2,14 @@ package tcpnet
 
 import (
 	"fmt"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rbay/internal/transport"
+	"rbay/internal/wire"
 )
 
 // TestBatchCoalescing: there is no flush window — batching comes from
@@ -137,5 +141,65 @@ func TestUnregisteredPayloadFailsWithoutKillingConn(t *testing.T) {
 	if n1.Stats().ConnDrops != drops {
 		t.Errorf("encode failure must not retire the connection (drops %d -> %d)",
 			drops, n1.Stats().ConnDrops)
+	}
+}
+
+// TestUndecodableEntryCostsOnlyItself: a newer peer sends, inside a batch,
+// a message under a tag this build does not know. That entry is dropped
+// and counted; the rest of the batch and the next frame arrive, and the
+// connection stays up.
+func TestUndecodableEntryCostsOnlyItself(t *testing.T) {
+	n, err := Listen("127.0.0.1:0", StaticResolver(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	to, from := addr("b", "h2"), addr("a", "h1")
+	var got collect
+	n.NewEndpoint(to, func(_ transport.Addr, m any) { got.add(m) })
+	conn, err := net.Dial("tcp", n.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	entry := func(payload any) []byte {
+		e := wire.GetEncoder()
+		defer wire.PutEncoder(e)
+		e.DataRest(to, from, payload)
+		return append([]byte(nil), e.Bytes()...)
+	}
+	unknown := entry(nil)
+	unknown[len(unknown)-1] = 250 // a tag no package registers, in place of nil's
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	at := e.BeginFrame(wire.KindBatch, 1)
+	e.Uvarint(3)
+	for _, b := range [][]byte{entry("one"), unknown, entry("two")} {
+		e.Uvarint(uint64(len(b)))
+		e.Append(b)
+	}
+	e.EndFrame(at)
+	at = e.BeginFrame(wire.KindData, 2)
+	e.DataRest(to, from, "three")
+	e.EndFrame(at)
+	at = e.BeginFrame(wire.KindPing, 3)
+	e.EndFrame(at)
+	if _, err := conn.Write(e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The pong comes back on the same connection: it was not dropped.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	kind, _, rest, err := wire.NewFrameReader(conn, wire.DefaultMaxFrame).Next()
+	if err != nil || kind != wire.KindPong || wire.NewDecoder(rest).Uvarint() != 3 {
+		t.Fatalf("after the batch: kind=%d err=%v, want the pong for ping 3", kind, err)
+	}
+	waitFor(t, func() bool { return len(got.snapshot()) == 3 })
+	if msgs := got.snapshot(); !reflect.DeepEqual(msgs, []any{"one", "two", "three"}) {
+		t.Fatalf("delivered %v", msgs)
+	}
+	if st := n.Stats(); st.DecodeDrops != 1 || !strings.Contains(st.String(), "decodedrops=1") {
+		t.Fatalf("DecodeDrops = %d (%s), want 1", st.DecodeDrops, st)
 	}
 }

@@ -144,14 +144,15 @@ type Stats struct {
 	PeerDownEvents    uint64 // peer addresses reported through OnPeerDown
 	BatchFrames       uint64 // coalesced batch frames written
 	BatchedMessages   uint64 // data messages carried inside batch frames
+	DecodeDrops       uint64 // well-framed inbound messages whose body did not decode
 }
 
 // String renders a compact one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("dials=%d (fail %d, redial %d) retries=%d sendfail=%d hb=%d (timeout %d) drops=%d qdrops=%d peerdown=%d batches=%d/%d",
+	return fmt.Sprintf("dials=%d (fail %d, redial %d) retries=%d sendfail=%d hb=%d (timeout %d) drops=%d qdrops=%d peerdown=%d batches=%d/%d decodedrops=%d",
 		s.Dials, s.DialFailures, s.Redials, s.SendRetries, s.SendFailures,
 		s.HeartbeatsSent, s.HeartbeatTimeouts, s.ConnDrops, s.QueueDrops, s.PeerDownEvents,
-		s.BatchedMessages, s.BatchFrames)
+		s.BatchedMessages, s.BatchFrames, s.DecodeDrops)
 }
 
 type counters struct {
@@ -167,6 +168,7 @@ type counters struct {
 	peerDownEvents    atomic.Uint64
 	batchFrames       atomic.Uint64
 	batchedMessages   atomic.Uint64
+	decodeDrops       atomic.Uint64
 }
 
 // dialBackoff tracks the fail-fast window for one peer hostport.
@@ -462,6 +464,7 @@ func (n *Network) Stats() Stats {
 		PeerDownEvents:    n.stats.peerDownEvents.Load(),
 		BatchFrames:       n.stats.batchFrames.Load(),
 		BatchedMessages:   n.stats.batchedMessages.Load(),
+		DecodeDrops:       n.stats.decodeDrops.Load(),
 	}
 }
 
@@ -549,9 +552,11 @@ func (n *Network) readLoop(conn net.Conn) {
 
 // readFramesLoop drains one accepted binary-framed connection: data and
 // batch frames are demultiplexed to endpoints, pings are answered with a
-// pong echoing the ping's sequence. Any framing error (oversized length,
-// corrupt body) abandons the connection — stream corruption is not
-// survivable, and the sender's liveness machinery redials.
+// pong echoing the ping's sequence. A framing error (frame or entry
+// length, count, trailing bytes, unknown frame kind) abandons the
+// connection — stream corruption is not survivable, and the sender's
+// liveness machinery redials. A message whose body alone fails to decode
+// costs only that message (deliver).
 func (n *Network) readFramesLoop(conn net.Conn) {
 	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 64<<10), wire.DefaultMaxFrame)
 	var pongSeq uint64
@@ -576,15 +581,9 @@ func (n *Network) readFramesLoop(conn net.Conn) {
 		case wire.KindPong:
 			// Not expected on accepted conns; ignore.
 		case wire.KindData:
-			m, err := wire.DecodeDataRest(rest)
-			if err != nil {
-				return
-			}
-			n.deliver(m.From, m.To, m.Payload)
+			n.deliver(wire.DecodeDataRest(rest))
 		case wire.KindBatch:
-			if err := wire.DecodeBatchRest(rest, func(m wire.DataMsg) {
-				n.deliver(m.From, m.To, m.Payload)
-			}); err != nil {
+			if err := wire.DecodeBatchRest(rest, n.deliver); err != nil {
 				return
 			}
 		default:
@@ -593,10 +592,18 @@ func (n *Network) readFramesLoop(conn net.Conn) {
 	}
 }
 
-// deliver hands one inbound message to its endpoint's dispatch queue.
-func (n *Network) deliver(from, to transport.Addr, payload any) {
+// deliver hands one inbound message to its endpoint's dispatch queue. A
+// well-framed message whose body did not decode (err: a newer peer's tag,
+// say) is dropped and counted; the connection and the rest of its batch
+// carry on.
+func (n *Network) deliver(m wire.DataMsg, err error) {
+	if err != nil {
+		n.stats.decodeDrops.Add(1)
+		return
+	}
+	from, payload := m.From, m.Payload
 	n.mu.Lock()
-	ep := n.endpoints[to]
+	ep := n.endpoints[m.To]
 	n.mu.Unlock()
 	if ep != nil {
 		ep.offer(func() { ep.handler(from, payload) })

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"time"
-
 	"rbay/internal/ids"
 	"rbay/internal/transport"
 )
@@ -117,20 +115,6 @@ func (c *Coder) Value(p *any) {
 		c.e.Value(*p)
 	} else {
 		*p = c.d.Value()
-	}
-}
-
-// Time walks a time as signed Unix nanoseconds, with 0 standing for the
-// zero time (whose UnixNano is not 0).
-func (c *Coder) Time(p *time.Time) {
-	if c.e != nil {
-		var n int64
-		if !p.IsZero() {
-			n = p.UnixNano()
-		}
-		c.e.Varint(n)
-	} else if n := c.d.Varint(); n != 0 {
-		*p = time.Unix(0, n)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // FuzzDecodeFrame feeds arbitrary bytes through the transport's frame
 // reader, frame after frame, and the kind-specific decoders. Truncated, oversized, or corrupt input must return an error —
 // never panic and never allocate beyond the input size (the allocation
-// guards bound every count/length by the bytes actually remaining).
+// guards bound every count/length by the bytes actually remaining). A
+// batch whose framing holds hands over each of its entries exactly once,
+// decoded or with its error: one bad entry does not fail the batch.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with well-formed frames of each kind.
 	seed := func(build func(e *Encoder)) {
@@ -65,7 +67,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			case KindData:
 				_, _ = DecodeDataRest(rest)
 			case KindBatch:
-				_ = DecodeBatchRest(rest, func(DataMsg) {})
+				entries := 0
+				err := DecodeBatchRest(rest, func(DataMsg, error) { entries++ })
+				if want := int(NewDecoder(rest).Uvarint()); err == nil && entries != want {
+					t.Fatalf("batch of %d entries handed over %d", want, entries)
+				}
 			case KindPong:
 				NewDecoder(rest).Uvarint()
 			}

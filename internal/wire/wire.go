@@ -727,10 +727,13 @@ func DecodeDataRest(rest []byte) (DataMsg, error) {
 	return m, nil
 }
 
-// DecodeBatchRest parses a batch frame's rest, invoking fn per entry. A
-// malformed entry aborts the batch with an error (stream corruption is not
-// survivable; the transport drops the connection).
-func DecodeBatchRest(rest []byte, fn func(DataMsg)) error {
+// DecodeBatchRest parses a batch frame's rest, handing fn each entry once:
+// decoded, or with the error its body failed on (a tag this build does
+// not know, say). Entries are length-framed, so one that fails costs only
+// itself. Only a framing error — count, entry length, trailing bytes —
+// fails the batch; the stream is then corrupt, and the transport drops
+// the connection.
+func DecodeBatchRest(rest []byte, fn func(DataMsg, error)) error {
 	d := NewDecoder(rest)
 	n := d.Count(2)
 	for i := 0; i < n; i++ {
@@ -741,12 +744,7 @@ func DecodeBatchRest(rest []byte, fn func(DataMsg)) error {
 		if entryLen > uint64(d.Remaining()) {
 			return fmt.Errorf("wire: batch entry %d length %d exceeds %d remaining bytes", i, entryLen, d.Remaining())
 		}
-		entry := d.take(int(entryLen))
-		m, err := DecodeDataRest(entry)
-		if err != nil {
-			return fmt.Errorf("wire: batch entry %d: %w", i, err)
-		}
-		fn(m)
+		fn(DecodeDataRest(d.take(int(entryLen))))
 	}
 	if err := d.Err(); err != nil {
 		return err

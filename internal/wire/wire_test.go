@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rbay/internal/ids"
 	"rbay/internal/transport"
@@ -184,7 +183,8 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 	}
 
 	// Build the batch the way the transport does: encode each data-rest,
-	// then wrap with count + per-entry length prefixes.
+	// then wrap with count + per-entry length prefixes. Between the first
+	// two, a well-framed entry whose payload tag this build does not know.
 	var rests [][]byte
 	for _, en := range entries {
 		e := GetEncoder()
@@ -195,6 +195,8 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		rests = append(rests, append([]byte(nil), e.Bytes()...))
 		PutEncoder(e)
 	}
+	unknown := append([]byte{1, 's', 2, 'h', '9', 1, 's', 2, 'h', '0'}, 250, 0)
+	rests = append(rests[:1], append([][]byte{unknown}, rests[1:]...)...)
 	e := GetEncoder()
 	defer PutEncoder(e)
 	at := e.BeginFrame(KindBatch, 99)
@@ -213,13 +215,21 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		t.Fatalf("kind=%d seq=%d", kind, seq)
 	}
 	var got []entry
-	if err := DecodeBatchRest(rest, func(m DataMsg) {
+	var errs []error
+	if err := DecodeBatchRest(rest, func(m DataMsg, err error) {
+		if err != nil {
+			errs = append(errs, err)
+			return
+		}
 		got = append(got, entry{m.To, m.From, m.Payload})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, entries) {
 		t.Fatalf("batch %#v, want %#v", got, entries)
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unknown value tag") {
+		t.Fatalf("entry errors %v, want one unknown tag", errs)
 	}
 }
 
@@ -330,21 +340,19 @@ func TestCorruptInputErrors(t *testing.T) {
 	}
 }
 
-// TestCoderTimeAndListShapes: the zero time and nil-vs-empty slices
-// survive a field-list round trip, and a list count the remaining bytes
-// cannot hold fails before anything is allocated.
-func TestCoderTimeAndListShapes(t *testing.T) {
+// TestCoderListShapes: nil-vs-empty slices survive a field-list round
+// trip, and a list count the remaining bytes cannot hold fails before
+// anything is allocated.
+func TestCoderListShapes(t *testing.T) {
 	type rec struct {
-		At   []time.Time
-		Zero time.Time
-		IDs  []ids.ID
+		Names []string
+		IDs   []ids.ID
 	}
 	walk := func(v *rec, c *Coder) {
-		List(c, &v.At, 1, func(p *time.Time, c *Coder) { c.Time(p) })
-		c.Time(&v.Zero)
+		List(c, &v.Names, 1, func(p *string, c *Coder) { c.String(p) })
 		List(c, &v.IDs, len(ids.ID{}), func(p *ids.ID, c *Coder) { c.ID(p) })
 	}
-	for _, in := range []rec{{}, {At: []time.Time{}, IDs: []ids.ID{}}, {At: []time.Time{time.Unix(0, 1), time.Unix(5, 7)}, IDs: []ids.ID{ids.HashOf("x")}}} {
+	for _, in := range []rec{{}, {Names: []string{}, IDs: []ids.ID{}}, {Names: []string{"", "x"}, IDs: []ids.ID{ids.HashOf("x")}}} {
 		e := GetEncoder()
 		walk(&in, e.Coder())
 		d := NewDecoder(e.Bytes())

@@ -21,8 +21,7 @@
 //     figures are regenerated this way.
 //
 //   - Real: NewTCPNode attaches a node over TCP with the binary wire
-//     codec (see cmd/rbayd and cmd/rbayctl) for multi-process
-//     deployments.
+//     codec (see cmd/rbayd) for multi-process deployments.
 //
 // A minimal session:
 //
@@ -91,9 +90,6 @@ type (
 	ViewMode = core.ViewMode
 	// ViewInfo describes one registered view.
 	ViewInfo = core.ViewInfo
-	// ViewAdminResult is the outcome of a remote view-admin operation
-	// (Node.ViewAdmin), used by rbayctl and the HTTP gateway.
-	ViewAdminResult = core.ViewAdminResult
 )
 
 // View modes for Node.QueryVia.
@@ -109,10 +105,6 @@ const (
 
 // ErrNoView is returned in ViewOnly mode when no view matches the query.
 var ErrNoView = core.ErrNoView
-
-// ParseViewMode parses the ?view= / -view flag spelling: "auto" (or
-// empty), "only"/"1", "skip"/"0"/"off".
-func ParseViewMode(s string) (ViewMode, error) { return core.ParseViewMode(s) }
 
 // Predicate operators.
 const (

@@ -216,7 +216,7 @@ func TestTCPNodePublicAPI(t *testing.T) {
 
 // TestTCPNodeCloseWhileReceiving closes a TCP node from the test's
 // goroutine while its event loop is handling a stream of messages — what
-// every rbayctl exit and every crash-path Close does. Run under -race: the
+// every rbayd shutdown and every crash-path Close does. Run under -race: the
 // close must not touch loop-owned state unsynchronised, and a second Close
 // must report the node closed instead of waiting on a stopped loop.
 func TestTCPNodeCloseWhileReceiving(t *testing.T) {
