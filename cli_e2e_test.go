@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	ctlUntil(t, rbayctl, "no views registered", ctl("view", "list")...)
 	if out, err := exec.Command(rbayctl, ctl("view", "read", sql)...).CombinedOutput(); err == nil {
 		t.Fatalf("view read after drop succeeded:\n%s", out)
+	}
+	// The gateway answers that failed read 404; rbayctl still prints the
+	// query's outline and its error.
+	out, err = exec.Command(rbayctl, ctl("-explain", "-view", "only", "query", sql)...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "err=core: no registered view") ||
+		!regexp.MustCompile(`query \S+#\S+: core: no registered view`).Match(out) {
+		t.Fatalf("failed query: err=%v, want its outline and error:\n%s", err, out)
 	}
 }
 

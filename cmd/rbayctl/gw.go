@@ -251,8 +251,9 @@ func (c *gwClient) post(path string, body map[string]any) (*gwOp, error) {
 	return nil, fmt.Errorf("gateway unavailable after %d attempts: %w", attempts, lastErr)
 }
 
-// call sends one request and decodes a 2xx JSON answer into into (nil:
-// discard it).
+// call sends one request and decodes its JSON answer into into (nil:
+// discard it). A non-2xx answer is decoded too, where it fits, and
+// returned as an error.
 func (c *gwClient) call(method, path string, body io.Reader, into any) error {
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
@@ -264,13 +265,13 @@ func (c *gwClient) call(method, path string, body io.Reader, into any) error {
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
+	if into != nil {
+		err = json.Unmarshal(data, into)
+	}
 	if resp.StatusCode/100 != 2 {
 		return gwErrorOf(resp.StatusCode, data)
 	}
-	if into == nil {
-		return nil
-	}
-	return json.Unmarshal(data, into)
+	return err
 }
 
 // gwErrorOf turns a non-2xx body into an error, preferring the gateway's

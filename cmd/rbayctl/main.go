@@ -119,7 +119,9 @@ func (c *gwClient) query(sql, password, mode string, explain bool) error {
 		v.Set("explain", "1")
 	}
 	var r gwQuery
-	if err := c.call(http.MethodGet, "/query?"+v.Encode(), nil, &r); err != nil {
+	// A query that ran and failed answers non-2xx with its ID, outline and
+	// error; one refused before it ran has no ID.
+	if err := c.call(http.MethodGet, "/query?"+v.Encode(), nil, &r); err != nil && r.QueryID == "" {
 		return err
 	}
 	if r.Error != "" {

@@ -131,11 +131,10 @@ func NewFederation(reg *naming.Registry, cfg FedConfig) (*Federation, error) {
 
 // NewNode attaches one more node to the federation's simulated network —
 // NewFederation builds every member with it, and a restart scenario
-// revives a crashed address with it. simnet is single-threaded, so these
-// nodes sync their store on the simulation thread instead of through a
-// flusher goroutine; that is the only difference from New.
+// revives a crashed address with it. It is New on the federation's
+// network: a node with a store runs the same output gate as on sockets.
 func (f *Federation) NewNode(addr transport.Addr, cfg Config) (*Node, error) {
-	return newNode(f.Net, addr, f.Registry, cfg, true)
+	return New(f.Net, addr, f.Registry, cfg)
 }
 
 // RunFor advances the simulation.

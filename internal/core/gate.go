@@ -16,12 +16,12 @@ import (
 // what waits is the node's outputs — transport sends, ingest acks, query
 // results and admin replies — which are held, in order, until a Sync that
 // covers every record the node appended before them has returned. The
-// Sync runs on a flusher goroutine that exists only while records are
-// waiting, so consecutive records share one fsync.
+// Sync runs on a flusher that exists only while records are waiting, so
+// consecutive records share one fsync.
 //
-// Under simnet the same code runs single-threaded: the federation builds
-// its nodes inline, the Sync happens on the simulation thread right after
-// the record, and the gate is never closed.
+// The simulator runs this same path; only where the flusher runs differs
+// (gate.spawn): on a goroutine over sockets, in place on simnet. Either
+// way the Sync's result comes back through After(0).
 
 // ErrStoreFailed wraps the error that stopped the node: a write or fsync
 // of its WAL failed, so nothing more is acknowledged.
@@ -41,7 +41,6 @@ type recStamp struct {
 
 type gate struct {
 	st      Store
-	inline  bool // Sync on the event context (simnet)
 	ep      transport.Endpoint
 	metrics *metrics.Registry
 
@@ -53,11 +52,11 @@ type gate struct {
 	stamps              []recStamp
 
 	// Hand-off to the flusher: want is the record count the next Sync must
-	// cover; running says a flusher goroutine exists.
+	// cover; running says a flusher exists.
 	mu      sync.Mutex
 	want    uint64
 	running bool
-	// bg counts the flusher and Durably goroutines in flight.
+	// bg counts the flusher and Durably writes in flight.
 	bg sync.WaitGroup
 
 	failOnce sync.Once
@@ -65,16 +64,17 @@ type gate struct {
 	failed   chan struct{}
 }
 
-func newGate(st Store, reg *metrics.Registry, inline bool) *gate {
-	g := &gate{st: st, inline: inline, metrics: reg, failed: make(chan struct{})}
-	if st != nil && !inline {
+func newGate(st Store, reg *metrics.Registry) *gate {
+	g := &gate{st: st, metrics: reg, failed: make(chan struct{})}
+	if st != nil {
 		reg.Declare("rbay_durable_wait_seconds")
 		reg.Add("rbay_store_failed", 0)
 	}
 	return g
 }
 
-// gatedNet hands pastry an endpoint whose Send passes through the gate.
+// gatedNet gives the gate the node's endpoint and, when the node has a
+// store, hands pastry one whose Send passes through the gate.
 type gatedNet struct {
 	transport.Network
 	g *gate
@@ -86,6 +86,9 @@ func (gn gatedNet) NewEndpoint(addr transport.Addr, h transport.Handler) (transp
 		return nil, err
 	}
 	gn.g.ep = ep
+	if gn.g.st == nil {
+		return ep, nil
+	}
 	return &gatedEndpoint{Endpoint: ep, g: gn.g}, nil
 }
 
@@ -160,38 +163,40 @@ func (g *gate) recorded() {
 	if !g.st.SyncDue() {
 		return
 	}
-	if !g.inline {
-		g.need = g.recs
-		g.stamps = append(g.stamps, recStamp{rec: g.recs, at: g.ep.Now()})
-	}
+	g.need = g.recs
+	g.stamps = append(g.stamps, recStamp{rec: g.recs, at: g.ep.Now()})
 	g.flush()
 }
 
-// flush gets every record appended so far synced: in place under simnet,
-// otherwise by the flusher, which it starts unless one is running.
+// flush gets every record appended so far synced by the flusher, which it
+// starts unless one is running.
 func (g *gate) flush() {
-	if g.inline {
-		if err := g.st.Sync(); err != nil {
-			g.fail(err)
-		}
-		return
-	}
 	g.mu.Lock()
 	g.want = g.recs
 	start := !g.running
 	g.running = true
 	g.mu.Unlock()
 	if start {
-		g.bg.Add(1)
-		go g.flushLoop()
+		g.spawn(g.flushLoop)
 	}
 }
 
-// flushLoop is the flusher goroutine: it syncs until the store has caught
-// up with the node, posting each result to the event context, then exits.
-// It never sleeps and never arms a timer.
+// spawn runs fn off the event context: through the endpoint's Go method
+// if it has one (simnet runs fn in place), otherwise on a goroutine.
+func (g *gate) spawn(fn func()) {
+	g.bg.Add(1)
+	run := func() { defer g.bg.Done(); fn() }
+	if r, ok := g.ep.(interface{ Go(func()) }); ok {
+		r.Go(run)
+		return
+	}
+	go run()
+}
+
+// flushLoop is the flusher: it syncs until the store has caught up with
+// the node, posting each result to the event context, then exits. It
+// never sleeps and never arms a timer.
 func (g *gate) flushLoop() {
-	defer g.bg.Done()
 	for {
 		g.mu.Lock()
 		target := g.want
@@ -253,20 +258,13 @@ func (n *Node) AfterDurable(fn func(error)) { n.g.afterDurable(fn) }
 // then on it with the store's error if the write did not reach the disk.
 // The caller's store must be the node's own WAL (rbayd, the benchmark and
 // the chaos harness all share one), because the node's store is where the
-// error is read from. Under simnet both run in place. Event context only.
+// error is read from. write runs where the flusher does. Event context only.
 func (n *Node) Durably(write func(), then func(error)) {
-	if n.g.inline {
-		write()
-		then(n.StoreErr())
-		return
-	}
-	n.g.bg.Add(1)
-	go func() {
-		defer n.g.bg.Done()
+	n.g.spawn(func() {
 		write()
 		err := n.StoreErr()
 		n.p.After(0, func() { then(err) })
-	}()
+	})
 }
 
 // StoreErr reports whether the node has stopped because its durable store

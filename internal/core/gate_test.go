@@ -19,8 +19,9 @@ import (
 
 // tcpFed is a small federation over loopback TCP, one listener per node,
 // each node on its own (optionally wrapped) MemDir — the composition
-// rbayd uses, so these tests run the pipelined path the simulator does
-// not.
+// rbayd uses. The gate is the simulator's, but here the flusher runs on
+// its own goroutine, so these tests also see the event loop keep turning
+// while a Sync is in flight.
 type tcpFed struct {
 	nodes []*Node
 	disks []*store.MemDir
@@ -484,6 +485,73 @@ func TestGateReleasesInOrder(t *testing.T) {
 			t.Fatalf("gate reopened after a failure: %v", got)
 		}
 	})
+}
+
+// TestSimulatorRunsTheGate: simulated nodes with stores run the gate the
+// TCP tests above run. A commit's ack waits behind the commit record and
+// leaves once its Sync is posted back. When a node's fsync fails, what it
+// holds fails with it: an AfterDurable callback hears the error, a held
+// commit never reaches its owner, and the node says it failed.
+func TestSimulatorRunsTheGate(t *testing.T) {
+	fed, disks := storedFed(t, 4, store.SyncAlways, "n0000", "n0001", "n0002", "n0003")
+	a, b := fed.BySite["virginia"][0], fed.BySite["virginia"][1]
+	heldAt := func(n *Node) uint64 { return n.Metrics().Counter("rbay_gate_held_total") }
+	// commit has from commit q at to, which must already hold it, and
+	// runs the simulation until the ack settles.
+	commit := func(from, to *Node, q string) (r AckResult) {
+		t.Helper()
+		done := false
+		from.CommitAcked(q, []Candidate{{Addr: to.Addr()}}, time.Second, func(res AckResult) { r, done = res, true })
+		fed.RunFor(2 * time.Second)
+		if !done {
+			t.Fatalf("commit %s never settled", q)
+		}
+		return r
+	}
+
+	if !b.reserve("q-good") {
+		t.Fatal("reserve failed")
+	}
+	fed.RunFor(time.Second)
+	held := heldAt(b)
+	if r := commit(a, b, "q-good"); r.Matched != 1 {
+		t.Fatalf("healthy commit: %+v, want one matched ack", r)
+	}
+	if got := heldAt(b); got <= held {
+		t.Fatalf("rbay_gate_held_total %d → %d across a commit: the gate never closed", held, got)
+	}
+	if b.Metrics().Histogram("rbay_durable_wait_seconds").Snapshot().Count == 0 {
+		t.Fatal("rbay_durable_wait_seconds never observed")
+	}
+
+	// b's next record fails its fsync. What b holds behind that record —
+	// a callback and a commit to a — fails with it.
+	if !a.reserve("q-lost") {
+		t.Fatal("reserve failed")
+	}
+	fed.RunFor(time.Second)
+	disks["n0001"].SetFaults(store.Faults{Sync: errDisk})
+	b.SetAttribute("load", 1.0)
+	var durableErr error
+	b.AfterDurable(func(err error) { durableErr = err })
+	held = heldAt(b)
+	if r := commit(b, a, "q-lost"); r.Matched != 0 || r.Lost != 1 {
+		t.Fatalf("commit sent by a node whose fsync failed: %+v, want no ack (lost)", r)
+	}
+	if got := heldAt(b); got != held+1 {
+		t.Fatalf("b held %d sends behind its failed record, want the one commit", got-held)
+	}
+	if _, committed, _ := a.Reserved(); committed {
+		t.Fatal("a send held behind a failed fsync was delivered")
+	}
+	if !errors.Is(durableErr, ErrStoreFailed) || !errors.Is(durableErr, errDisk) {
+		t.Fatalf("AfterDurable behind a failed fsync got %v, want ErrStoreFailed wrapping the device error", durableErr)
+	}
+	select {
+	case <-b.StoreFailed():
+	default:
+		t.Fatal("StoreFailed not closed after a failed fsync")
+	}
 }
 
 // BenchmarkDurableAck is the pipeline's own overhead: one record on the

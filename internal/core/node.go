@@ -238,13 +238,6 @@ func (statsAggregator) Combine(a, b any) any {
 // New creates an RBAY node attached to the network at addr. The registry
 // is the federation-wide tree catalog (shared, read-only after setup).
 func New(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg Config) (*Node, error) {
-	return newNode(net, addr, reg, cfg, false)
-}
-
-// newNode builds a node. inline makes it sync its store on the event
-// context instead of through a flusher goroutine: the simulated
-// federation sets it, because simnet is single-threaded.
-func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, cfg Config, inline bool) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Scribe.AggregatorFor == nil {
 		cfg.Scribe.AggregatorFor = func(ids.ID) scribe.Aggregator { return statsAggregator{} }
@@ -256,11 +249,8 @@ func newNode(net transport.Network, addr transport.Addr, reg *naming.Registry, c
 	if cfg.Scribe.Metrics == nil {
 		cfg.Scribe.Metrics = reg2
 	}
-	g := newGate(cfg.Store, reg2, inline)
-	if cfg.Store != nil {
-		net = gatedNet{Network: net, g: g}
-	}
-	p, err := pastry.NewNode(net, addr, cfg.Pastry)
+	g := newGate(cfg.Store, reg2)
+	p, err := pastry.NewNode(gatedNet{Network: net, g: g}, addr, cfg.Pastry)
 	if err != nil {
 		return nil, err
 	}

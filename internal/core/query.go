@@ -22,6 +22,9 @@ var ErrNoPlan = errors.New("core: no predicate matches a registered tree")
 // ErrNoRouter is reported when a target site has no reachable router.
 var ErrNoRouter = errors.New("core: no reachable router for site")
 
+// ErrSiteTimeout is reported when a target site did not answer in time.
+var ErrSiteTimeout = errors.New("site query timed out")
+
 // QueryResult is the outcome of a composite query.
 type QueryResult struct {
 	QueryID    string
@@ -181,6 +184,9 @@ func (r *queryRun) round() {
 		annotateSiteSpan(span, resp, newCands)
 		if resp.Err != "" && anyErr == nil {
 			anyErr = errors.New(resp.Err)
+			if resp.Err == ErrSiteTimeout.Error() {
+				anyErr = ErrSiteTimeout
+			}
 		}
 		pendingSites--
 		if pendingSites == 0 {
@@ -428,7 +434,7 @@ func (n *Node) siteQuery(site string, req siteQueryReq, cb func(siteQueryResp)) 
 		switch {
 		case errors.Is(err, pastry.ErrTimeout):
 			n.metrics.Inc("rbay_site_query_timeouts_total")
-			cb(siteQueryResp{Site: site, Err: "site query timed out"})
+			cb(siteQueryResp{Site: site, Err: ErrSiteTimeout.Error()})
 		case err != nil:
 			cb(siteQueryResp{Site: site, Err: err.Error() + " " + site})
 		default:

@@ -136,8 +136,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 var errGatewayTimeout = errors.New("httpgw: node did not answer in time")
 
 // onNode runs fn on the node's dispatch context and waits for done to be
-// signalled (fn must arrange that, possibly asynchronously).
-func (s *Server) onNode(fn func(done func())) error {
+// signalled (fn must arrange that, possibly asynchronously). It reports
+// whether that happened in time; otherwise it has written the 504.
+func (s *Server) onNode(w http.ResponseWriter, fn func(done func())) bool {
 	ch := make(chan struct{}, 1)
 	signal := func() {
 		select {
@@ -148,10 +149,16 @@ func (s *Server) onNode(fn func(done func())) error {
 	s.node.Do(func() { fn(signal) })
 	select {
 	case <-ch:
-		return nil
+		return true
 	case <-time.After(s.timeout):
-		return errGatewayTimeout
+		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, errGatewayTimeout)
+		return false
 	}
+}
+
+// run is onNode for an fn that is done when it returns.
+func (s *Server) run(w http.ResponseWriter, fn func()) bool {
+	return s.onNode(w, func(done func()) { fn(); done() })
 }
 
 // mutateNode runs fn on the node and waits until what it recorded is
@@ -159,17 +166,16 @@ func (s *Server) onNode(fn func(done func())) error {
 // whether that happened; otherwise it has written the error response.
 func (s *Server) mutateNode(w http.ResponseWriter, fn func()) bool {
 	var storeErr error
-	err := s.onNode(func(done func()) {
+	if !s.onNode(w, func(done func()) {
 		fn()
 		s.node.AfterDurable(func(err error) { storeErr = err; done() })
-	})
-	switch {
-	case err != nil:
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
-	case storeErr != nil:
+	}) {
+		return false
+	}
+	if storeErr != nil {
 		writeErr(w, http.StatusServiceUnavailable, codeStoreFailed, storeErr)
 	}
-	return err == nil && storeErr == nil
+	return storeErr == nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -189,6 +195,7 @@ const (
 	codeQueueFull      = "queue_full"
 	codeDraining       = "draining"
 	codeStoreFailed    = "store_failed"
+	codeSiteFailed     = "site_failed"
 	codeInternal       = "internal"
 )
 
@@ -210,7 +217,9 @@ type candidateJSON struct {
 	Host   string `json:"host"`
 }
 
-// queryResponse is the wire shape of a query result.
+// queryResponse is the wire shape of a query result. A failed query
+// answers non-2xx with Error and Code set and keeps the rest: its ID, what
+// it found, and its trace.
 type queryResponse struct {
 	QueryID    string          `json:"queryId"`
 	Candidates []candidateJSON `json:"candidates"`
@@ -219,6 +228,7 @@ type queryResponse struct {
 	Conflicts  int             `json:"conflicts,omitempty"`
 	ElapsedMS  float64         `json:"elapsedMs"`
 	Error      string          `json:"error,omitempty"`
+	Code       string          `json:"code,omitempty"`
 	// Trace carries the query's span tree when ?explain=1 is set; Explain
 	// is the same tree rendered as an indented outline.
 	Trace   *trace.Span `json:"trace,omitempty"`
@@ -250,7 +260,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res core.QueryResult
-	err = s.onNode(func(done func()) {
+	if !s.onNode(w, func(done func()) {
 		s.node.QueryVia(q, caller, payload, mode, func(qr core.QueryResult) {
 			// A query is a read: give back every lease it took before
 			// replying. POST /reserve is how a caller holds resources.
@@ -258,9 +268,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			res = qr
 			done()
 		})
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	}) {
 		return
 	}
 	resp := queryResponse{
@@ -270,8 +278,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Conflicts: res.Conflicts,
 		ElapsedMS: float64(res.Elapsed) / 1e6,
 	}
+	status := http.StatusOK
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
+		status, resp.Code = queryFailure(res.Err)
 	}
 	if explain := r.URL.Query().Get("explain"); explain != "" && explain != "0" && res.Trace != nil {
 		resp.Trace = res.Trace
@@ -282,18 +292,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			NodeID: c.NodeID, Site: c.Site, Host: c.Addr.Host,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, status, resp)
+}
+
+// queryFailure is the status and code a query failed with.
+func queryFailure(err error) (int, string) {
+	switch {
+	case errors.Is(err, core.ErrNoView):
+		return http.StatusNotFound, codeNotFound
+	case errors.Is(err, core.ErrSiteTimeout):
+		return http.StatusGatewayTimeout, codeGatewayTimeout
+	case errors.Is(err, core.ErrStoreFailed):
+		return http.StatusServiceUnavailable, codeStoreFailed
+	}
+	return http.StatusBadGateway, codeSiteFailed
 }
 
 // handleViewList serves the node's registered materialized views.
 func (s *Server) handleViewList(w http.ResponseWriter, r *http.Request) {
 	var views []core.ViewInfo
-	err := s.onNode(func(done func()) {
-		views = s.node.Views()
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.run(w, func() { views = s.node.Views() }) {
 		return
 	}
 	if views == nil {
@@ -315,12 +333,7 @@ func (s *Server) handleViewRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var regErr error
-	err = s.onNode(func(done func()) {
-		regErr = s.node.RegisterView(q)
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.run(w, func() { regErr = s.node.RegisterView(q) }) {
 		return
 	}
 	if regErr != nil {
@@ -343,12 +356,7 @@ func (s *Server) handleViewDrop(w http.ResponseWriter, r *http.Request) {
 		key = q.String()
 	}
 	dropped := false
-	err := s.onNode(func(done func()) {
-		dropped = s.node.DropView(key)
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.run(w, func() { dropped = s.node.DropView(key) }) {
 		return
 	}
 	if !dropped {
@@ -371,12 +379,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // last. Traces are elided from the listing; fetch one by id for the tree.
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	var recs []core.QueryRecord
-	err := s.onNode(func(done func()) {
-		recs = s.node.RecentQueries()
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.run(w, func() { recs = s.node.RecentQueries() }) {
 		return
 	}
 	list := make([]core.QueryRecord, len(recs))
@@ -393,17 +396,13 @@ func (s *Server) handleDebugQueryTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var rec core.QueryRecord
 	found := false
-	err := s.onNode(func(done func()) {
+	if !s.run(w, func() {
 		for _, qr := range s.node.RecentQueries() {
 			if qr.QueryID == id {
-				rec = qr
-				found = true
+				rec, found = qr, true
 			}
 		}
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	}) {
 		return
 	}
 	if !found {
@@ -422,7 +421,7 @@ func (s *Server) handleTreeStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var st core.TreeStats
 	var statErr error
-	err := s.onNode(func(done func()) {
+	if !s.onNode(w, func(done func()) {
 		err := s.node.TreeStats(name, func(got core.TreeStats, err error) {
 			st, statErr = got, err
 			done()
@@ -431,9 +430,7 @@ func (s *Server) handleTreeStats(w http.ResponseWriter, r *http.Request) {
 			statErr = err
 			done()
 		}
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	}) {
 		return
 	}
 	if statErr != nil {
@@ -447,16 +444,13 @@ func (s *Server) handleTreeStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAttrs(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{}
-	err := s.onNode(func(done func()) {
+	if !s.run(w, func() {
 		am := s.node.Attributes()
 		for _, name := range am.Names() {
 			v, _ := am.Get(name)
 			out[name] = v
 		}
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	}) {
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -503,12 +497,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 		payload = body
 	}
 	var delErr error
-	err := s.onNode(func(done func()) {
-		delErr = s.node.DeliverCommand(name, payload)
-		done()
-	})
-	if err != nil {
-		writeErr(w, http.StatusGatewayTimeout, codeGatewayTimeout, err)
+	if !s.run(w, func() { delErr = s.node.DeliverCommand(name, payload) }) {
 		return
 	}
 	if delErr != nil {

@@ -2,8 +2,10 @@ package httpgw
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -61,10 +63,13 @@ func newFixtureDisk(t *testing.T, ttl time.Duration, opts Options, wrap func(*st
 	})
 	f := &gwFixture{
 		reg: reg,
+		// The short query timeouts keep TestQueryFailureStatus quick; a
+		// loopback peer answers in milliseconds.
 		cfg: core.Config{
-			Scribe:             scribe.Config{AggregateInterval: 200 * time.Millisecond},
+			Scribe:             scribe.Config{AggregateInterval: 200 * time.Millisecond, AggQueryTimeout: 2 * time.Second},
 			MembershipInterval: 300 * time.Millisecond,
 			ReserveTTL:         ttl,
+			SiteQueryTimeout:   time.Second,
 		},
 		table: map[transport.Addr]string{},
 	}
@@ -491,6 +496,72 @@ func TestReadAfterRestartKeepsCommitted(t *testing.T) {
 		n.DoWait(func() {
 			if q, c, ok := n.Reserved(); !ok || !c || q != res.QueryID {
 				t.Errorf("%s: Reserved() = %q committed=%v held=%v, want %q committed", n.Addr(), q, c, ok, res.QueryID)
+			}
+		})
+	}
+}
+
+// TestQueryFailureStatus: a query that ran and failed answers non-2xx
+// with a stable code, and its body keeps the query's ID, what it found and
+// its trace.
+func TestQueryFailureStatus(t *testing.T) {
+	f := newFixture(t)
+	gw := f.nodes[0]
+	// Site far's router accepts connections and never answers.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
+	far := transport.Addr{Site: "far", Host: "r0"}
+	f.mu.Lock()
+	f.table[far] = silent.Addr().String()
+	f.mu.Unlock()
+	gw.DoWait(func() {
+		gw.SetDirectory(core.Directory{Sites: []string{"lab", "far"}, Routers: map[string][]transport.Addr{
+			"lab": {gw.Addr()}, "far": {far},
+		}})
+	})
+
+	for _, tc := range []struct {
+		name   string
+		setup  func(t *testing.T)
+		query  string
+		status int
+		code   string
+		found  int // candidates the body still carries
+	}{
+		{name: "no view", query: "view=only&q=" + url.QueryEscape("SELECT 1 FROM lab WHERE GPU = true;"),
+			status: http.StatusNotFound, code: codeNotFound},
+		{name: "site timeout", query: "q=" + url.QueryEscape("SELECT 3 FROM lab, far WHERE GPU = true;"),
+			status: http.StatusGatewayTimeout, code: codeGatewayTimeout, found: 2},
+		{name: "no router", query: "q=" + url.QueryEscape("SELECT 1 FROM nowhere WHERE GPU = true;"),
+			status: http.StatusBadGateway, code: codeSiteFailed},
+		{name: "store failed", setup: func(t *testing.T) {
+			f.disk.SetFaults(store.Faults{Sync: errors.New("injected fsync error")})
+			gw.DoWait(func() { gw.SetAttribute("load", 1.0) })
+			select {
+			case <-gw.StoreFailed():
+			case <-time.After(5 * time.Second):
+				t.Fatal("the gateway node's store never failed")
+			}
+		}, query: "q=" + url.QueryEscape("SELECT 1 FROM lab WHERE GPU = true;"),
+			status: http.StatusServiceUnavailable, code: codeStoreFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.setup != nil {
+				tc.setup(t)
+			}
+			var r queryResponse
+			status := f.getJSON(t, "/query?explain=1&"+tc.query, &r)
+			if status != tc.status || r.Code != tc.code || r.Error == "" {
+				t.Fatalf("status %d code %q error %q, want %d %s", status, r.Code, r.Error, tc.status, tc.code)
+			}
+			if r.QueryID == "" || r.Trace == nil || r.Explain == "" {
+				t.Fatalf("failed query's body lost its ID or trace: %+v", r)
+			}
+			if len(r.Candidates) != tc.found {
+				t.Fatalf("body carries %d candidates, want %d: %+v", len(r.Candidates), tc.found, r.Candidates)
 			}
 		})
 	}

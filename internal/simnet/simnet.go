@@ -536,6 +536,10 @@ func (e *Endpoint) After(d time.Duration, fn func()) transport.CancelFunc {
 	}
 }
 
+// Go runs fn in place: what a node would run on a goroutine, such as its
+// fsyncs, runs on the simulation's one thread at no virtual time.
+func (e *Endpoint) Go(fn func()) { fn() }
+
 // Close implements transport.Endpoint. Closing an endpoint makes it
 // unreachable: in-flight messages to it are dropped at delivery time and
 // its pending timers never fire — the simulated equivalent of a crash.

@@ -166,9 +166,14 @@ var encPool = sync.Pool{New: func() any { return &Encoder{b: make([]byte, 0, 512
 // GetEncoder returns a pooled encoder with an empty buffer.
 func GetEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
+	e.Reset()
+	return e
+}
+
+// Reset empties the buffer, keeping its capacity, and clears the error.
+func (e *Encoder) Reset() {
 	e.b = e.b[:0]
 	e.err = nil
-	return e
 }
 
 // PutEncoder returns an encoder to the pool. Buffers that grew very large
